@@ -86,7 +86,17 @@ void MetricsRegistry::retire(Shard&& shard) {
   if (shard.empty()) return;
   const util::MutexLock lock(mutex_);
   if (shard.epoch != g_epoch.load(std::memory_order_relaxed)) return;
-  retired_.push_back(std::move(shard));
+  // Folding is exact: counters add, and histogram samples are sorted
+  // before they are summed (fold_sorted), so arrival order cannot matter.
+  for (const auto& [name, v] : shard.counters) retired_.counters[name] += v;
+  for (const auto& [name, vs] : shard.values) {
+    auto& dst = retired_.values[name];
+    dst.insert(dst.end(), vs.begin(), vs.end());
+  }
+  for (const auto& [name, vs] : shard.wall_ms) {
+    auto& dst = retired_.wall_ms[name];
+    dst.insert(dst.end(), vs.begin(), vs.end());
+  }
 }
 
 void MetricsRegistry::counter_add(const std::string& name,
@@ -126,7 +136,7 @@ MetricsSnapshot MetricsRegistry::snapshot() {
         dst.insert(dst.end(), vs.begin(), vs.end());
       }
     };
-    for (const Shard& s : retired_) merge_shard(s);
+    merge_shard(retired_);
     const Shard& live = local_shard();
     if (live.epoch == g_epoch.load(std::memory_order_relaxed)) {
       merge_shard(live);
@@ -142,7 +152,7 @@ MetricsSnapshot MetricsRegistry::snapshot() {
 void MetricsRegistry::reset() {
   const util::MutexLock lock(mutex_);
   g_epoch.fetch_add(1, std::memory_order_acq_rel);
-  retired_.clear();
+  retired_ = Shard{};
   gauges_.clear();
 }
 

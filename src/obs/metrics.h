@@ -103,7 +103,9 @@ class MetricsRegistry {
   /// Leaf lock: taken only to merge retired shards / touch gauges, never
   /// while calling out of this class.
   util::Mutex mutex_;
-  std::vector<Shard> retired_ MECSC_GUARDED_BY(mutex_);
+  /// Every exited thread's shard, folded together on retire() — one shard
+  /// however many threads came and went (one per connection in a daemon).
+  Shard retired_ MECSC_GUARDED_BY(mutex_);
   std::map<std::string, double> gauges_ MECSC_GUARDED_BY(mutex_);
 };
 

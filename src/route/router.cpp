@@ -7,8 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/run_info.h"
 #include "svc/client.h"
-#include "svc/server.h"
-#include "util/json_arena.h"
 
 namespace mecsc::route {
 namespace {
@@ -17,48 +15,10 @@ using util::JsonArray;
 using util::JsonObject;
 using util::JsonValue;
 
-/// Thrown when every backend in a digest's preference order failed at the
-/// transport level — there is no backend response to relay.
-struct NoBackendError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-std::string error_line(const JsonValue& id, const std::string& code,
-                       const std::string& message,
-                       const std::string& request_id = std::string()) {
-  JsonObject error;
-  error["code"] = JsonValue(code);
-  error["message"] = JsonValue(message);
-  JsonObject response;
-  response["id"] = id;
-  response["ok"] = JsonValue(false);
-  if (!request_id.empty()) response["request_id"] = JsonValue(request_id);
-  response["error"] = JsonValue(std::move(error));
-  return JsonValue(std::move(response)).dump();
-}
-
-JsonObject ok_envelope(const JsonValue& id, const std::string& type,
-                       const std::string& request_id) {
-  JsonObject response;
-  response["id"] = id;
-  response["ok"] = JsonValue(true);
-  response["type"] = JsonValue(type);
-  response["request_id"] = JsonValue(request_id);
-  return response;
-}
-
-class GaugeGuard {
- public:
-  explicit GaugeGuard(std::atomic<std::size_t>& gauge) : gauge_(gauge) {
-    gauge_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ~GaugeGuard() { gauge_.fetch_sub(1, std::memory_order_relaxed); }
-  GaugeGuard(const GaugeGuard&) = delete;
-  GaugeGuard& operator=(const GaugeGuard&) = delete;
-
- private:
-  std::atomic<std::size_t>& gauge_;
-};
+// Lines are answered inline on the session thread, so there is no queue
+// span.
+constexpr svc::FrontendRole kRouterRole{
+    "router", "r-", "route", "route.request", "route.parse", nullptr};
 
 /// Splices `,"key":<value_json>` immediately before the final '}' of a
 /// serialized JSON object, exploiting the protocol's last-duplicate-wins
@@ -81,72 +41,36 @@ void splice_field(std::string& line, const std::string& key,
   line.insert(brace, (empty_object ? "\"" : ",\"") + key + "\":" + value_json);
 }
 
-/// Minimal request view over either parse path — the router needs the
-/// envelope fields and the canonical instance bytes, never a decode (the
-/// whole point: digest extraction costs one parse, zero DOM, zero
-/// Instance construction on the arena path).
-class RouteDoc {
- public:
-  static RouteDoc parse(const std::string& line, bool use_arena) {
-    RouteDoc doc;
-    if (use_arena) {
-      doc.arena_ = util::parse_json_arena(line);
-    } else {
-      doc.dom_ = util::parse_json(line);
-    }
-    return doc;
-  }
+/// The per-backend fields every view-based section shares.
+JsonObject backend_identity(const BackendView& view) {
+  JsonObject b;
+  b["name"] = JsonValue(view.name);
+  b["draining"] = JsonValue(view.draining);
+  b["healthy"] = JsonValue(view.healthy);
+  return b;
+}
 
-  bool is_object() const {
-    return arena() ? arena_.root().is_object() : dom_.is_object();
-  }
-  bool contains(const std::string& key) const {
-    return arena() ? arena_.root().contains(key) : dom_.contains(key);
-  }
-  JsonValue id() const {
-    return arena() ? arena_.root().at("id").to_json_value() : dom_.at("id");
-  }
-  bool field_is_string(const std::string& key) const {
-    return arena() ? arena_.root().at(key).is_string()
-                   : dom_.at(key).is_string();
-  }
-  std::string string_field(const std::string& key) const {
-    if (!field_is_string(key))
-      throw std::invalid_argument("field \"" + key + "\" must be a string");
-    return arena() ? std::string(arena_.root().at(key).as_string())
-                   : dom_.at(key).as_string();
-  }
-  bool instance_is_object() const {
-    return arena() ? arena_.root().at("instance").is_object()
-                   : dom_.at("instance").is_object();
-  }
-  /// Canonical dump of the "instance" subtree — byte-identical across
-  /// parse paths (the parity contract), hence digest-identical with the
-  /// backend's cache-key digest of the same request.
-  std::string instance_canonical() const {
-    return arena() ? arena_.root().at("instance").dump()
-                   : dom_.at("instance").dump();
-  }
+/// Probe-derived load fields; present only while the probe data is fresh.
+void add_probe_fields(const BackendView& view, JsonObject& b) {
+  if (!view.probed) return;
+  b["queue_capacity"] = JsonValue(view.queue_capacity);
+  b["workers"] = JsonValue(view.workers);
+  b["wall_queue_depth"] = JsonValue(view.queue_depth);
+  b["wall_inflight"] = JsonValue(view.inflight);
+  b["wall_service_time_ms"] = JsonValue(view.service_time_ms);
+}
 
- private:
-  bool arena() const { return !arena_.empty(); }
-
-  JsonValue dom_;
-  util::JsonArena arena_;
-};
-
-obs::ServiceTelemetry::Options telemetry_options(const RouterOptions& o) {
-  obs::ServiceTelemetry::Options t;
-  if (o.telemetry_window_ms > 0.0) t.window_ms = o.telemetry_window_ms;
-  return t;
+void add_traffic_fields(const BackendView& view, JsonObject& b) {
+  b["forwarded"] = JsonValue(view.forwarded);
+  b["spilled_to"] = JsonValue(view.spilled_to);
+  b["failures"] = JsonValue(view.failures);
+  b["reconnects"] = JsonValue(view.reconnects);
 }
 
 }  // namespace
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)),
-      telemetry_(telemetry_options(options_)),
-      flight_(options_.flight_recorder_capacity) {
+    : Frontend(kRouterRole, options), options_(std::move(options)) {
   // Topology errors surface at construction, before any socket exists.
   shard_map_ = std::make_unique<ShardMap>(options_.backends);
   backends_.reserve(options_.backends.size());
@@ -157,133 +81,166 @@ Router::Router(RouterOptions options)
   }
 }
 
-Router::~Router() {
-  request_shutdown();
-  wait();
-}
+Router::~Router() { stop(); }
 
-void Router::start() {
-  if (!options_.unix_socket_path.empty()) {
-    listener_ = std::make_unique<svc::Listener>(
-        svc::Listener::listen_unix(options_.unix_socket_path));
-  } else if (options_.tcp_port >= 0) {
-    listener_ = std::make_unique<svc::Listener>(
-        svc::Listener::listen_tcp(options_.tcp_port));
-  } else {
-    throw std::runtime_error(
-        "route: RouterOptions needs unix_socket_path or tcp_port");
-  }
-  if (!options_.request_log_path.empty()) {
-    obs::RequestLog::Options log_options;
-    log_options.path = options_.request_log_path;
-    log_options.slow_request_ms = options_.slow_request_ms;
-    if (options_.request_log_max_mb > 0.0) {
-      log_options.max_bytes = static_cast<std::size_t>(
-          options_.request_log_max_mb * 1024.0 * 1024.0);
-    }
-    request_log_ = std::make_unique<obs::RequestLog>(log_options);
-  }
-  if (!options_.trace_out.empty()) {
-    obs::TraceWriter::Options trace_options;
-    trace_options.path = options_.trace_out;
-    trace_writer_ = std::make_unique<obs::TraceWriter>(trace_options);
-  }
-  if (options_.admin_port >= 0) {
-    svc::AdminServer::Options admin_options;
-    admin_options.tcp_port = options_.admin_port;
-    admin_options.metrics_handler = [this] { return metrics_prometheus(); };
-    admin_options.stats_handler = [this] {
-      return metrics_json().dump() + "\n";
-    };
-    admin_options.flight_handler = [this] {
-      return flight_json().dump() + "\n";
-    };
-    admin_ = std::make_unique<svc::AdminServer>(admin_options);
-  }
-  if (options_.health_interval_ms > 0.0) {
+void Router::on_start() {
+  if (options_.health_interval_ms > 0.0)
     prober_thread_ = std::thread([this] { prober_loop(); });
+}
+
+void Router::on_drain() {
+  {
+    const util::MutexLock lock(prober_mutex_);
+    prober_stop_ = true;
   }
-  acceptor_thread_ = std::thread([this] { acceptor_loop(); });
+  prober_cv_.notify_all();
 }
 
-int Router::port() const { return listener_ ? listener_->port() : 0; }
-
-int Router::admin_port() const { return admin_ ? admin_->port() : -1; }
-
-const std::string& Router::endpoint() const {
-  static const std::string kUnbound = "(unbound)";
-  return listener_ ? listener_->endpoint() : kUnbound;
-}
-
-void Router::acceptor_loop() {
-  std::uint32_t next_ordinal = 0;
-  while (true) {
-    svc::ConnectionPtr conn = listener_->accept();
-    if (!conn) return;
-    {
-      const util::MutexLock lock(lifecycle_mutex_);
-      if (draining_.load(std::memory_order_acquire)) {
-        conn->write_line(error_line(JsonValue(nullptr), "shutting_down",
-                                    "router is draining"));
-        continue;
-      }
-      conns_.push_back(conn);
-      const std::uint32_t ordinal = next_ordinal++;
-      session_threads_.emplace_back(
-          [this, conn = std::move(conn), ordinal]() mutable {
-            session_loop(std::move(conn), ordinal);
-          });
-    }
-    {
-      const util::MutexLock lock(stats_mutex_);
-      ++counters_.accepted_connections;
-    }
+void Router::on_sessions_done() {
+  if (prober_thread_.joinable()) prober_thread_.join();
+  // Sessions are gone, so the pools are quiescent; dropping the idle
+  // connections closes them.
+  for (const auto& backend : backends_) {
+    const util::MutexLock lock(backend->pool_mutex);
+    backend->idle.clear();
   }
 }
 
-void Router::session_loop(svc::ConnectionPtr conn, std::uint32_t ordinal) {
-  const GaugeGuard in_flight(connections_in_flight_);
-  while (true) {
-    std::optional<std::string> line = conn->read_line(svc::kMaxRequestBytes);
-    if (!line) {
-      if (conn->line_overflow()) {
-        conn->write_line(error_line(JsonValue(nullptr), "bad_request",
-                                    "request line exceeds the size limit"));
-      }
-      return;
-    }
-    if (line->empty()) continue;
-    {
-      const util::MutexLock lock(stats_mutex_);
-      ++counters_.requests_total;
-    }
-    if (draining_.load(std::memory_order_acquire)) {
-      {
-        const util::MutexLock lock(stats_mutex_);
-        ++counters_.responses_error;
-      }
-      const std::string rid = next_request_id();
-      const std::string response = error_line(
-          JsonValue(nullptr), "shutting_down", "router is draining", rid);
-      conn->write_line(response);
-      obs::RequestEvent event;
-      event.request_id = rid;
-      event.outcome = "shutting_down";
-      event.ok = false;
-      event.bytes_in = line->size();
-      event.bytes_out = response.size() + 1;
-      flight_.record(event, nullptr);
-      record_event(std::move(event));
-      continue;
-    }
-    process_line(conn, std::move(*line), ordinal);
-  }
+void Router::admit(const svc::ConnectionPtr& conn, std::string line,
+                   std::uint32_t session) {
+  // Routed inline: the session thread is the request's only thread.
+  const util::Timer admitted;
+  serve_line(conn, std::move(line), admitted, telemetry().now_ms(), session,
+             0.0);
 }
 
-std::string Router::next_request_id() {
-  return "r-" + std::to_string(
-                    request_id_seq_.fetch_add(1, std::memory_order_relaxed) +
-                    1);
+svc::Frontend::Response Router::handle(Request& request) {
+  if (request.type == "health") return {health(request)};
+  if (request.type == "stats") return {stats_response(request)};
+  if (request.type == "drain_backend") return {drain_response(request)};
+  return route(request);
+}
+
+std::string Router::health(const Request& request) const {
+  JsonObject body =
+      svc::ok_envelope(request.id, request.type, request.request_id);
+  body["protocol_version"] = JsonValue(svc::kSvcProtocolVersion);
+  body["role"] = JsonValue("router");
+  body["draining"] = JsonValue(draining());
+  JsonArray list;
+  for (const BackendView& view : backend_views()) {
+    JsonObject b = backend_identity(view);
+    b["endpoint"] = JsonValue(view.endpoint);
+    b["weight"] = JsonValue(view.weight);
+    add_probe_fields(view, b);
+    list.push_back(JsonValue(std::move(b)));
+  }
+  body["backends"] = JsonValue(std::move(list));
+  return JsonValue(std::move(body)).dump();
+}
+
+std::string Router::stats_response(const Request& request) const {
+  const RouterStats s = stats();
+  JsonObject body =
+      svc::ok_envelope(request.id, request.type, request.request_id);
+  body["protocol_version"] = JsonValue(svc::kSvcProtocolVersion);
+  JsonObject router;
+  router["accepted_connections"] = JsonValue(s.accepted_connections);
+  router["requests_total"] = JsonValue(s.requests_total);
+  router["responses_ok"] = JsonValue(s.responses_ok);
+  router["responses_error"] = JsonValue(s.responses_error);
+  router["forwarded"] = JsonValue(s.forwarded);
+  router["spilled"] = JsonValue(s.spilled);
+  router["backend_reconnects"] = JsonValue(s.backend_reconnects);
+  router["backend_failures"] = JsonValue(s.backend_failures);
+  body["router"] = JsonValue(std::move(router));
+  JsonArray list;
+  for (const BackendView& view : backend_views()) {
+    JsonObject b = backend_identity(view);
+    add_traffic_fields(view, b);
+    list.push_back(JsonValue(std::move(b)));
+  }
+  body["backends"] = JsonValue(std::move(list));
+  return JsonValue(std::move(body)).dump();
+}
+
+std::string Router::drain_response(const Request& request) {
+  if (!request.doc.contains("backend"))
+    throw std::invalid_argument(
+        "drain_backend needs a \"backend\" (name) field");
+  const std::string name = svc::require_string(request.doc, "backend");
+  if (!drain_backend(name))
+    throw std::invalid_argument(
+        "cannot drain \"" + name +
+        "\": unknown backend or last one accepting keys");
+  JsonObject body =
+      svc::ok_envelope(request.id, request.type, request.request_id);
+  body["draining_backend"] = JsonValue(name);
+  std::size_t active = 0;
+  for (const auto& backend : backends_)
+    if (!backend->draining.load(std::memory_order_acquire)) ++active;
+  body["active_backends"] = JsonValue(active);
+  return JsonValue(std::move(body)).dump();
+}
+
+svc::Frontend::Response Router::route(Request& request) {
+  // Requests with an instance shard by its digest; everything else lands
+  // on the empty-digest owner — placement stays a pure function of the
+  // request bytes either way.
+  const util::JsonArena::View& doc = request.doc;
+  obs::RequestTrace& trace = *request.trace;
+  std::string digest;
+  if (doc.contains("instance") && doc.at("instance").is_object()) {
+    trace.begin("route.digest");
+    digest = obs::fnv1a64_hex(doc.at("instance").dump());
+    trace.end();
+    request.event.instance_digest = digest;
+  }
+  if (doc.contains("algorithm") && doc.at("algorithm").is_string())
+    request.event.algorithm = svc::require_string(doc, "algorithm");
+
+  // The forwarded line: the raw client bytes plus (a) the resolved
+  // request_id when the client sent none — so the backend's wide event,
+  // the response, and the router's log all correlate on one id and the
+  // backend never mints its own — and (b) the traceparent naming the
+  // route.forward span as parent, which overrides any client traceparent
+  // by the last-duplicate-wins rule. (The parsed doc has its own copy of
+  // the bytes, so splicing into the line leaves it intact.)
+  std::string& line = request.line;
+  if (!doc.contains("request_id"))
+    splice_field(line, "request_id", JsonValue(request.request_id).dump());
+  trace.begin("route.forward");
+  const obs::TraceContext& ctx = trace.context();
+  const std::string hop_traceparent = "00-" + ctx.trace_id + "-" +
+                                      trace.current_span_id() + "-" +
+                                      (ctx.sampled ? "01" : "00");
+  splice_field(line, "traceparent", JsonValue(hop_traceparent).dump());
+
+  std::optional<ForwardResult> result = forward(digest, line);
+  trace.end();
+  if (!result)
+    throw svc::RequestError("unavailable",
+                            "no backend reachable for this request");
+
+  auto& metrics = obs::MetricsRegistry::global();
+  BackendState& backend = *backends_[result->backend];
+  forwarded_.fetch_add(1, std::memory_order_relaxed);
+  backend.forwarded.fetch_add(1, std::memory_order_relaxed);
+  if (result->spilled) {
+    spilled_.fetch_add(1, std::memory_order_relaxed);
+    backend.spilled_to.fetch_add(1, std::memory_order_relaxed);
+    metrics.counter_add("route.spilled");
+  }
+  metrics.counter_add("route.forwarded");
+
+  Response response{std::move(result->response), result->ok};
+  splice_field(response.line, "route_backend",
+               JsonValue(backend.spec.name).dump());
+  if (result->spilled) splice_field(response.line, "route_spilled", "true");
+  if (!response.ok)
+    request.event.outcome =
+        result->error_code.empty() ? "relayed_error" : result->error_code;
+  return response;
 }
 
 bool Router::should_skip(const BackendState& backend) const {
@@ -354,10 +311,7 @@ std::optional<std::string> Router::forward_once(BackendState& backend,
   }
   backend.healthy.store(false, std::memory_order_release);
   backend.failures.fetch_add(1, std::memory_order_relaxed);
-  {
-    const util::MutexLock lock(stats_mutex_);
-    ++counters_.backend_failures;
-  }
+  backend_failures_.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
 }
 
@@ -419,290 +373,6 @@ std::optional<Router::ForwardResult> Router::forward(const std::string& digest,
     return result;
   }
   return pushed_back;
-}
-
-void Router::process_line(const svc::ConnectionPtr& conn, std::string line,
-                          std::uint32_t ordinal) {
-  const util::Timer admitted;
-  const double admitted_at_ms = telemetry_.now_ms();
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter_add("route.requests");
-
-  obs::RequestEvent event;
-  event.bytes_in = line.size();
-
-  std::optional<obs::RequestTrace> trace;
-  JsonValue id;
-  std::string request_id;
-  std::string response;
-  bool ok = false;
-  bool forwarded_request = false;
-  bool spilled = false;
-  try {
-    RouteDoc request;
-    {
-      const util::Timer parse_timer;
-      try {
-        request = RouteDoc::parse(line, options_.use_arena_parser);
-      } catch (const util::JsonError& e) {
-        throw std::runtime_error(std::string("parse_error: ") + e.what());
-      }
-      event.parse_ms = parse_timer.elapsed_ms();
-      metrics.wall_duration_record("wall_route_parse_ms", event.parse_ms);
-    }
-    if (!request.is_object())
-      throw std::invalid_argument("request must be a JSON object");
-    if (request.contains("id")) id = request.id();
-    const bool client_sent_request_id = request.contains("request_id");
-    if (client_sent_request_id)
-      request_id = request.string_field("request_id");
-    if (request_id.empty()) request_id = next_request_id();
-    if (!request.contains("type"))
-      throw std::invalid_argument("request needs a \"type\" field");
-    const std::string type = request.string_field("type");
-    event.type = type;
-
-    // Trace context: same resolution as the backend (adopt a well-formed
-    // client traceparent, else derive from the request_id), but the root
-    // span is "route.request" — the cross-process tree reads
-    // route.request -> route.forward -> svc.request.
-    {
-      obs::TraceContext tctx;
-      if (request.contains("traceparent") &&
-          request.field_is_string("traceparent")) {
-        if (auto parsed =
-                obs::TraceContext::parse(request.string_field("traceparent")))
-          tctx = *parsed;
-      }
-      if (!tctx.valid()) {
-        tctx = obs::TraceContext::derive(request_id, false);
-        tctx.span_id.clear();
-      }
-      tctx.sampled = tctx.sampled ||
-                     obs::trace_head_sample(tctx.trace_id,
-                                            options_.trace_sample_rate);
-      trace.emplace(std::move(tctx), admitted, "route.request");
-      trace->add_complete("route.parse", 0.0, event.parse_ms);
-    }
-
-    if (type == "health") {
-      JsonObject body = ok_envelope(id, type, request_id);
-      body["protocol_version"] = JsonValue(svc::kSvcProtocolVersion);
-      body["role"] = JsonValue("router");
-      body["draining"] = JsonValue(draining());
-      JsonArray list;
-      for (const BackendView& view : backend_views()) {
-        JsonObject b;
-        b["name"] = JsonValue(view.name);
-        b["endpoint"] = JsonValue(view.endpoint);
-        b["weight"] = JsonValue(view.weight);
-        b["draining"] = JsonValue(view.draining);
-        b["healthy"] = JsonValue(view.healthy);
-        if (view.probed) {
-          b["queue_capacity"] = JsonValue(view.queue_capacity);
-          b["workers"] = JsonValue(view.workers);
-          b["wall_queue_depth"] = JsonValue(view.queue_depth);
-          b["wall_inflight"] = JsonValue(view.inflight);
-          b["wall_service_time_ms"] = JsonValue(view.service_time_ms);
-        }
-        list.push_back(JsonValue(std::move(b)));
-      }
-      body["backends"] = JsonValue(std::move(list));
-      response = JsonValue(std::move(body)).dump();
-      ok = true;
-    } else if (type == "stats") {
-      const RouterStats s = stats();
-      JsonObject body = ok_envelope(id, type, request_id);
-      body["protocol_version"] = JsonValue(svc::kSvcProtocolVersion);
-      JsonObject router;
-      router["accepted_connections"] = JsonValue(s.accepted_connections);
-      router["requests_total"] = JsonValue(s.requests_total);
-      router["responses_ok"] = JsonValue(s.responses_ok);
-      router["responses_error"] = JsonValue(s.responses_error);
-      router["forwarded"] = JsonValue(s.forwarded);
-      router["spilled"] = JsonValue(s.spilled);
-      router["backend_reconnects"] = JsonValue(s.backend_reconnects);
-      router["backend_failures"] = JsonValue(s.backend_failures);
-      body["router"] = JsonValue(std::move(router));
-      JsonArray list;
-      for (const BackendView& view : backend_views()) {
-        JsonObject b;
-        b["name"] = JsonValue(view.name);
-        b["draining"] = JsonValue(view.draining);
-        b["healthy"] = JsonValue(view.healthy);
-        b["forwarded"] = JsonValue(view.forwarded);
-        b["spilled_to"] = JsonValue(view.spilled_to);
-        b["failures"] = JsonValue(view.failures);
-        b["reconnects"] = JsonValue(view.reconnects);
-        list.push_back(JsonValue(std::move(b)));
-      }
-      body["backends"] = JsonValue(std::move(list));
-      response = JsonValue(std::move(body)).dump();
-      ok = true;
-    } else if (type == "metrics") {
-      JsonObject body = ok_envelope(id, type, request_id);
-      body["telemetry"] = metrics_json();
-      response = JsonValue(std::move(body)).dump();
-      ok = true;
-    } else if (type == "drain_backend") {
-      if (!request.contains("backend"))
-        throw std::invalid_argument(
-            "drain_backend needs a \"backend\" (name) field");
-      const std::string name = request.string_field("backend");
-      if (!drain_backend(name))
-        throw std::invalid_argument(
-            "cannot drain \"" + name +
-            "\": unknown backend or last one accepting keys");
-      JsonObject body = ok_envelope(id, type, request_id);
-      body["draining_backend"] = JsonValue(name);
-      std::size_t active = 0;
-      for (const auto& backend : backends_)
-        if (!backend->draining.load(std::memory_order_acquire)) ++active;
-      body["active_backends"] = JsonValue(active);
-      response = JsonValue(std::move(body)).dump();
-      ok = true;
-    } else if (type == "shutdown") {
-      JsonObject body = ok_envelope(id, type, request_id);
-      body["draining"] = JsonValue(true);
-      response = JsonValue(std::move(body)).dump();
-      conn->write_line(response);
-      {
-        const util::MutexLock lock(stats_mutex_);
-        ++counters_.responses_ok;
-      }
-      event.request_id = request_id;
-      event.outcome = "ok";
-      event.bytes_out = response.size() + 1;
-      event.total_ms = admitted.elapsed_ms();
-      flight_.record(event, nullptr);
-      record_event(std::move(event));
-      // Response is on the wire before the drain (the drain tears the
-      // trace writer down, so this last request skips the trace epilogue).
-      request_shutdown();
-      return;
-    } else {
-      // Routed. Requests with an instance shard by its digest; everything
-      // else lands on the empty-digest owner — placement stays a pure
-      // function of the request bytes either way.
-      std::string digest;
-      if (request.contains("instance") && request.instance_is_object()) {
-        trace->begin("route.digest");
-        digest = obs::fnv1a64_hex(request.instance_canonical());
-        trace->end();
-        event.instance_digest = digest;
-      }
-      if (request.contains("algorithm") && request.field_is_string("algorithm"))
-        event.algorithm = request.string_field("algorithm");
-
-      // The forwarded line: the raw client bytes plus (a) the resolved
-      // request_id when the client sent none — so the backend's wide
-      // event, the response, and the router's log all correlate on one id
-      // and the backend never mints its own — and (b) the traceparent
-      // naming the route.forward span as parent, which overrides any
-      // client traceparent by the last-duplicate-wins rule.
-      if (!client_sent_request_id)
-        splice_field(line, "request_id", JsonValue(request_id).dump());
-      trace->begin("route.forward");
-      const obs::TraceContext& ctx = trace->context();
-      const std::string hop_traceparent =
-          "00-" + ctx.trace_id + "-" + trace->current_span_id() + "-" +
-          (ctx.sampled ? "01" : "00");
-      splice_field(line, "traceparent", JsonValue(hop_traceparent).dump());
-
-      std::optional<ForwardResult> result = forward(digest, line);
-      trace->end();
-      if (!result)
-        throw NoBackendError("no backend reachable for this request");
-
-      forwarded_request = true;
-      spilled = result->spilled;
-      backends_[result->backend]->forwarded.fetch_add(
-          1, std::memory_order_relaxed);
-      if (result->spilled) {
-        backends_[result->backend]->spilled_to.fetch_add(
-            1, std::memory_order_relaxed);
-        metrics.counter_add("route.spilled");
-      }
-      metrics.counter_add("route.forwarded");
-
-      response = std::move(result->response);
-      splice_field(response, "route_backend",
-                   JsonValue(backends_[result->backend]->spec.name).dump());
-      if (result->spilled)
-        splice_field(response, "route_spilled", "true");
-      ok = result->ok;
-      if (!ok)
-        event.outcome = result->error_code.empty() ? "relayed_error"
-                                                   : result->error_code;
-    }
-  } catch (const std::exception& e) {
-    const std::string what = e.what();
-    std::string code = "bad_request";
-    std::string message = what;
-    if (dynamic_cast<const NoBackendError*>(&e) != nullptr) {
-      code = "unavailable";
-    } else if (what.rfind("parse_error: ", 0) == 0) {
-      code = "parse_error";
-      message = what.substr(13);
-    } else if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr ||
-               dynamic_cast<const util::JsonError*>(&e) != nullptr) {
-      code = "bad_request";
-    } else {
-      code = "internal";
-    }
-    if (request_id.empty()) request_id = next_request_id();
-    event.outcome = code;
-    response = error_line(id, code, message, request_id);
-  }
-
-  {
-    const util::MutexLock lock(stats_mutex_);
-    if (ok) {
-      ++counters_.responses_ok;
-    } else {
-      ++counters_.responses_error;
-    }
-    if (forwarded_request) {
-      ++counters_.forwarded;
-      if (spilled) ++counters_.spilled;
-    }
-  }
-  conn->write_line(response);
-  metrics.wall_duration_record("wall_route_service_ms", admitted.elapsed_ms());
-
-  event.request_id = request_id;
-  event.ok = ok;
-  event.bytes_out = response.size() + 1;
-  event.total_ms = admitted.elapsed_ms();
-
-  if (!trace) {
-    obs::TraceContext minted = obs::TraceContext::derive(request_id, false);
-    minted.span_id.clear();
-    minted.sampled =
-        obs::trace_head_sample(minted.trace_id, options_.trace_sample_rate);
-    trace.emplace(std::move(minted), admitted, "route.request");
-  }
-  const bool sampled = trace->context().sampled;
-  std::string keep_reason;  // priority: error > sampled > slow
-  if (!ok) {
-    keep_reason = "error";
-  } else if (sampled) {
-    keep_reason = "sampled";
-  } else if (options_.slow_request_ms >= 0.0 &&
-             event.total_ms >= options_.slow_request_ms) {
-    keep_reason = "slow";
-  }
-  if (sampled) traces_sampled_.fetch_add(1, std::memory_order_relaxed);
-  obs::FinishedTrace finished =
-      trace->finish(request_id, event.type, keep_reason, ordinal,
-                    admitted_at_ms);
-  if (!keep_reason.empty())
-    traces_kept_.fetch_add(1, std::memory_order_relaxed);
-  flight_.record(event, &finished);
-  if (trace_writer_ && !keep_reason.empty())
-    trace_writer_->write(std::move(finished));
-
-  record_event(std::move(event));
 }
 
 void Router::prober_loop() {
@@ -810,54 +480,13 @@ bool Router::drain_backend(const std::string& name) {
   return true;
 }
 
-void Router::request_shutdown() {
-  bool expected = false;
-  if (!draining_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel))
-    return;
-  if (listener_) listener_->shutdown();
-  {
-    const util::MutexLock lock(lifecycle_mutex_);
-    for (const std::weak_ptr<svc::Connection>& weak : conns_)
-      if (svc::ConnectionPtr conn = weak.lock()) conn->shutdown_read();
-    drain_ready_ = true;
-  }
-  {
-    const util::MutexLock lock(prober_mutex_);
-    prober_stop_ = true;
-  }
-  prober_cv_.notify_all();
-  drain_cv_.notify_all();
-}
-
-void Router::wait() {
-  {
-    const util::MutexLock lock(lifecycle_mutex_);
-    while (!drain_ready_) drain_cv_.wait(lifecycle_mutex_);
-  }
-  if (acceptor_thread_.joinable()) acceptor_thread_.join();
-  if (prober_thread_.joinable()) prober_thread_.join();
-  {
-    const util::MutexLock lock(lifecycle_mutex_);
-    for (std::thread& t : session_threads_)
-      if (t.joinable()) t.join();
-    session_threads_.clear();
-    conns_.clear();
-  }
-  // Sessions are gone, so the pools are quiescent; dropping the idle
-  // connections closes them.
-  for (const auto& backend : backends_) {
-    const util::MutexLock lock(backend->pool_mutex);
-    backend->idle.clear();
-  }
-  if (admin_) admin_->stop();
-  if (request_log_) request_log_->close();
-  if (trace_writer_) trace_writer_->close();
-}
-
 RouterStats Router::stats() const {
-  const util::MutexLock lock(stats_mutex_);
-  return counters_;
+  RouterStats s;
+  static_cast<svc::FrontendStats&>(s) = frontend_stats();
+  s.forwarded = forwarded_.load(std::memory_order_relaxed);
+  s.spilled = spilled_.load(std::memory_order_relaxed);
+  s.backend_failures = backend_failures_.load(std::memory_order_relaxed);
+  return s;
 }
 
 std::vector<BackendView> Router::backend_views() const {
@@ -889,36 +518,7 @@ std::vector<BackendView> Router::backend_views() const {
   return views;
 }
 
-void Router::record_event(obs::RequestEvent event) {
-  telemetry_.record(event);
-  if (request_log_) request_log_->write(event);
-}
-
-obs::ServiceGauges Router::gauges() const {
-  obs::ServiceGauges g;
-  g.connections_in_flight =
-      connections_in_flight_.load(std::memory_order_relaxed);
-  {
-    const util::MutexLock lock(stats_mutex_);
-    g.accepted_connections = counters_.accepted_connections;
-  }
-  if (request_log_) {
-    g.request_log_dropped = request_log_->dropped();
-    g.request_log_rotations = request_log_->rotations();
-  }
-  g.traces_sampled = traces_sampled_.load(std::memory_order_relaxed);
-  g.traces_kept = traces_kept_.load(std::memory_order_relaxed);
-  if (trace_writer_) g.trace_writer_dropped = trace_writer_->dropped();
-  g.flight_capacity = flight_.capacity();
-  g.flight_size = flight_.size();
-  g.flight_recorded_total = flight_.recorded_total();
-  return g;
-}
-
-util::JsonValue Router::flight_json() const { return flight_.to_json(); }
-
-util::JsonValue Router::metrics_json() {
-  JsonValue doc = obs::telemetry_to_json(telemetry_.snapshot(), gauges());
+void Router::add_metrics(JsonObject& doc) const {
   const RouterStats s = stats();
   JsonObject route;
   route["forwarded"] = JsonValue(s.forwarded);
@@ -927,33 +527,18 @@ util::JsonValue Router::metrics_json() {
   route["backend_failures"] = JsonValue(s.backend_failures);
   JsonArray list;
   for (const BackendView& view : backend_views()) {
-    JsonObject b;
-    b["name"] = JsonValue(view.name);
+    JsonObject b = backend_identity(view);
     b["endpoint"] = JsonValue(view.endpoint);
     b["weight"] = JsonValue(view.weight);
-    b["draining"] = JsonValue(view.draining);
-    b["healthy"] = JsonValue(view.healthy);
-    b["forwarded"] = JsonValue(view.forwarded);
-    b["spilled_to"] = JsonValue(view.spilled_to);
-    b["failures"] = JsonValue(view.failures);
-    b["reconnects"] = JsonValue(view.reconnects);
-    if (view.probed) {
-      b["queue_capacity"] = JsonValue(view.queue_capacity);
-      b["workers"] = JsonValue(view.workers);
-      b["wall_queue_depth"] = JsonValue(view.queue_depth);
-      b["wall_inflight"] = JsonValue(view.inflight);
-      b["wall_service_time_ms"] = JsonValue(view.service_time_ms);
-    }
+    add_traffic_fields(view, b);
+    add_probe_fields(view, b);
     list.push_back(JsonValue(std::move(b)));
   }
   route["backends"] = JsonValue(std::move(list));
-  doc.as_object()["route"] = JsonValue(std::move(route));
-  return doc;
+  doc["route"] = JsonValue(std::move(route));
 }
 
-std::string Router::metrics_prometheus() {
-  std::string text =
-      obs::telemetry_to_prometheus(telemetry_.snapshot(), gauges());
+void Router::add_prometheus(std::string& text) const {
   // Router-specific series appended in the same exposition format.
   const RouterStats s = stats();
   text += "# TYPE mecsc_route_forwarded_total counter\n";
@@ -966,7 +551,6 @@ std::string Router::metrics_prometheus() {
     text += "mecsc_route_backend_healthy{backend=\"" + view.name + "\"} " +
             std::string(view.healthy ? "1" : "0") + "\n";
   }
-  return text;
 }
 
 }  // namespace mecsc::route

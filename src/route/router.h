@@ -39,6 +39,13 @@
 // requests with an "instance" object by digest, the rest to a fixed
 // shard (the empty-digest owner), so placement is a pure function of the
 // request bytes.
+//
+// Threading: the shared front end (svc/frontend.h) runs one session thread
+// per client connection and reaps it when the connection ends; the router
+// answers each line inline on its session thread, so a session holds at
+// most one pooled backend connection at a time. One prober thread sweeps
+// backend health. Drain: stop accepting, wake idle readers, let in-flight
+// forwards finish, then join the prober and close the pools.
 #pragma once
 
 #include <atomic>
@@ -50,30 +57,15 @@
 #include <thread>
 #include <vector>
 
-#include "obs/telemetry.h"
-#include "obs/tracing.h"
 #include "route/shard_map.h"
-#include "svc/admin.h"
-#include "svc/socket.h"
-#include "util/json.h"
-#include "util/sync.h"
-#include "util/timer.h"
+#include "svc/frontend.h"
 
 namespace mecsc::route {
 
-struct RouterOptions {
-  /// Exactly one of the two endpoints (same contract as ServerOptions):
-  /// a Unix-domain socket path, or a loopback TCP port (0 = ephemeral).
-  std::string unix_socket_path;
-  int tcp_port = -1;
-
+struct RouterOptions : svc::FrontendOptions {
   /// The topology. At least one backend; see ShardMap for the hash
   /// identity rules.
   std::vector<BackendSpec> backends;
-
-  /// Digest extraction parse path (mirrors ServerOptions::use_arena_parser):
-  /// arena is the hot path, DOM the differential-testing reference.
-  bool use_arena_parser = true;
 
   /// Health-probe sweep period; <= 0 disables the prober (forward
   /// failures still mark backends unhealthy, but nothing marks them
@@ -89,24 +81,10 @@ struct RouterOptions {
   /// fraction is skipped in preference order. >= 1 disables pre-spill
   /// (reactive spill on "overloaded" responses still happens).
   double spill_queue_fraction = 0.9;
-
-  // Observability plumbing, one-to-one with ServerOptions.
-  std::string request_log_path;
-  double slow_request_ms = -1.0;
-  double request_log_max_mb = 0.0;
-  double trace_sample_rate = 0.0;
-  std::string trace_out;
-  std::size_t flight_recorder_capacity = 256;
-  int admin_port = -1;
-  double telemetry_window_ms = 60000.0;
 };
 
 /// Point-in-time router counters for the "stats" response and tests.
-struct RouterStats {
-  std::uint64_t accepted_connections = 0;
-  std::uint64_t requests_total = 0;
-  std::uint64_t responses_ok = 0;
-  std::uint64_t responses_error = 0;
+struct RouterStats : svc::FrontendStats {
   std::uint64_t forwarded = 0;       ///< requests sent to some backend
   std::uint64_t spilled = 0;         ///< landed off their preferred shard
   std::uint64_t backend_reconnects = 0;
@@ -133,31 +111,13 @@ struct BackendView {
   std::uint64_t reconnects = 0;
 };
 
-class Router {
+class Router : public svc::Frontend {
  public:
+  /// Bad topologies throw std::invalid_argument here, before any socket
+  /// exists; start() (inherited) binds and spawns the acceptor and the
+  /// health prober when enabled.
   explicit Router(RouterOptions options);
-  ~Router();
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  /// Binds the endpoint and spawns the acceptor (+ health prober when
-  /// enabled). Throws std::runtime_error when the endpoint cannot be
-  /// bound. (Bad topologies throw std::invalid_argument from the
-  /// constructor, before any socket exists.)
-  void start();
-
-  /// Begins graceful drain: stop accepting, wake blocked readers, finish
-  /// in-flight requests. Safe from any thread; idempotent.
-  void request_shutdown();
-
-  /// Blocks until the drain completes and every thread is joined.
-  void wait();
-
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
-
-  int port() const;
-  int admin_port() const;
-  const std::string& endpoint() const;
+  ~Router() override;
 
   RouterStats stats() const;
   std::vector<BackendView> backend_views() const;
@@ -167,20 +127,14 @@ class Router {
   /// unknown or this would leave no backend accepting keys.
   bool drain_backend(const std::string& name);
 
-  /// Router telemetry snapshot + gauges with a "route" section of
-  /// per-backend views (the "metrics" response body / admin /stats).
-  util::JsonValue metrics_json();
-  std::string metrics_prometheus();
-  util::JsonValue flight_json() const;
-
   /// Shard lookup for tests: which backend (index into options.backends)
   /// owns this digest right now, honoring draining/unhealthy skips.
   std::size_t shard_of(const std::string& digest) const;
 
  private:
   /// Per-backend runtime state: connection pool, health flags, probe
-  /// data, counters. Fixed at start() — topology changes are flag flips,
-  /// never vector surgery, so sessions index it without a topology lock.
+  /// data, counters. Fixed at construction — topology changes are flag
+  /// flips, never vector surgery, so sessions index it without a lock.
   struct BackendState {
     BackendSpec spec;
 
@@ -218,12 +172,20 @@ class Router {
     std::string error_code;    ///< from the relayed response when !ok
   };
 
-  void acceptor_loop();
-  void session_loop(svc::ConnectionPtr conn, std::uint32_t ordinal);
-  /// Handles one request line end to end (route or answer locally) and
-  /// writes the response. Session thread only.
-  void process_line(const svc::ConnectionPtr& conn, std::string line,
-                    std::uint32_t ordinal);
+  void admit(const svc::ConnectionPtr& conn, std::string line,
+             std::uint32_t session) override;
+  Response handle(Request& request) override;
+  void on_start() override;
+  void on_drain() override;
+  void on_sessions_done() override;
+  void add_metrics(util::JsonObject& doc) const override;
+  void add_prometheus(std::string& text) const override;
+
+  std::string health(const Request& request) const;
+  std::string stats_response(const Request& request) const;
+  std::string drain_response(const Request& request);
+  /// Forwards the request to its shard and relays the backend's answer.
+  Response route(Request& request);
 
   /// True when `backend` should be skipped in preference order right now.
   bool should_skip(const BackendState& backend) const;
@@ -241,48 +203,20 @@ class Router {
   /// One probe sweep over all backends. Exposed to the loop only.
   void probe_all();
 
-  void record_event(obs::RequestEvent event);
-  std::string next_request_id();
-  obs::ServiceGauges gauges() const;
-
   RouterOptions options_;
-  std::unique_ptr<ShardMap> shard_map_;  ///< immutable after start()
-  std::unique_ptr<svc::Listener> listener_;
+  std::unique_ptr<ShardMap> shard_map_;  ///< immutable after construction
   std::vector<std::unique_ptr<BackendState>> backends_;
-
-  obs::ServiceTelemetry telemetry_;
-  std::unique_ptr<obs::RequestLog> request_log_;
-  std::unique_ptr<obs::TraceWriter> trace_writer_;
-  obs::FlightRecorder flight_;
-  std::unique_ptr<svc::AdminServer> admin_;
-
-  std::atomic<std::uint64_t> traces_sampled_{0};
-  std::atomic<std::uint64_t> traces_kept_{0};
-  std::atomic<std::uint64_t> request_id_seq_{0};
-  std::atomic<std::size_t> connections_in_flight_{0};
-
-  std::atomic<bool> draining_{false};
-  /// Lifecycle lock (same hierarchy slot as SolverServer's): may be held
-  /// while writing a drain notice to a Connection; never while touching a
-  /// backend pool or stats_mutex_.
-  util::Mutex lifecycle_mutex_;
-  bool drain_ready_ MECSC_GUARDED_BY(lifecycle_mutex_) = false;
-  std::vector<std::weak_ptr<svc::Connection>> conns_
-      MECSC_GUARDED_BY(lifecycle_mutex_);
-  std::vector<std::thread> session_threads_
-      MECSC_GUARDED_BY(lifecycle_mutex_);
-  std::thread acceptor_thread_;  ///< start()/wait() only (owning thread)
-  std::thread prober_thread_;    ///< start()/wait() only (owning thread)
-  util::CondVar drain_cv_;
 
   /// Prober sleep/wakeup: wait_for_ms between sweeps, notified on drain.
   util::Mutex prober_mutex_;
   bool prober_stop_ MECSC_GUARDED_BY(prober_mutex_) = false;
   util::CondVar prober_cv_;
 
-  /// Leaf lock for the counters.
-  mutable util::Mutex stats_mutex_;
-  RouterStats counters_ MECSC_GUARDED_BY(stats_mutex_);
+  std::atomic<std::uint64_t> forwarded_{0};
+  std::atomic<std::uint64_t> spilled_{0};
+  std::atomic<std::uint64_t> backend_failures_{0};
+
+  std::thread prober_thread_;  ///< start()/wait() only (owning thread)
 };
 
 }  // namespace mecsc::route

@@ -36,8 +36,8 @@ int checked_socket(int domain) {
 struct Connection::Impl {
   int fd;
   /// Serializes whole-line writes so worker responses never interleave
-  /// bytes on a pipelining connection. Innermost lock of the hierarchy:
-  /// SolverServer may hold lifecycle_mutex_ while writing a drain notice.
+  /// bytes on a pipelining connection. A leaf: nothing else is locked
+  /// while a line is written.
   util::Mutex write_mutex;
   std::string read_buf;
   std::size_t read_pos = 0;  ///< consumed prefix of read_buf

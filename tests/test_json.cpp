@@ -15,8 +15,8 @@ namespace {
 // both the DOM parser (util/json.h, the reference) and the arena parser
 // (util/json_arena.h, the serving hot path). The parity contract — identical
 // accept/reject decisions, identical error offsets and messages, identical
-// number bits — is what lets the service switch paths per request
-// (ServerOptions::use_arena_parser) without splitting its digest-keyed cache.
+// number bits — is what keeps the service's arena-parsed cache digests equal
+// to the canonical dumps every other tool computes through the DOM.
 // ---------------------------------------------------------------------------
 
 enum class ParsePath { kDom, kArena };

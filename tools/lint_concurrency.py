@@ -34,14 +34,16 @@ Lock hierarchy (what the annotations in the tree encode; violations show up
 as deadlocks under TSan and as review findings here):
 
   cache -> queue -> stats
-    ResultCache::mutex_, BoundedQueue::mutex_, and the server/metrics stats
+    ResultCache::mutex_, BoundedQueue::mutex_, and the metrics registry
     locks are LEAF locks: never held while calling into another locking
     component. A future path that must nest them acquires left-to-right in
     the order above.
-  SolverServer::lifecycle_mutex_ -> Connection write lock
-    The one real nesting today: the server may hold the lifecycle lock
-    while write_line() takes a connection's write lock (drain notices).
-    Nothing may acquire lifecycle_mutex_ while holding a connection lock.
+  svc::Frontend::lifecycle_mutex_
+    The session table of the front end shared by SolverServer and Router.
+    Also a leaf: sessions are added and reaped (a finished session erases
+    its entry and joins the one that finished before it) under it, and the
+    acceptor writes drain notices only after releasing it, so no
+    connection write lock is ever taken while it is held.
 
 Suppressing a finding: append  // concurrency-lint: allow(<rule>)  to the
 line, with a comment saying why it is safe. src/util/sync.h is exempt

@@ -15,33 +15,21 @@
 // "route_backend" (and "route_spilled" when the owner was skipped). A
 // {"type": "drain_backend", "backend": "b2"} request rehashes new keys
 // away from b2 while its in-flight requests finish.
-#include <csignal>
-#include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
-#include "core/io.h"
-#include "obs/metrics.h"
-#include "obs/run_info.h"
-#include "obs/trace.h"
+#include "daemon.h"
 #include "route/router.h"
-#include "util/json.h"
-#include "util/log.h"
 
 namespace {
 
 using namespace mecsc;
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      R"(mecsc_route — digest-sharded front router (NDJSON over a socket)
+const tools::DaemonSpec kDaemon{
+    "mecsc_route", "route",
+    R"(mecsc_route — digest-sharded front router (NDJSON over a socket)
 
 usage:
   mecsc_route (--unix-socket PATH | --tcp-port PORT)
@@ -56,7 +44,6 @@ usage:
               [--spill-queue-fraction F]  pre-spill when a probed backend's
                                      queue is >= F full (default 0.9;
                                      >= 1 disables pre-spill)
-              [--parser arena|dom]   digest-extraction parse path
               [--port-file FILE]     write the bound TCP port
               [--request-log FILE]   wide-event JSON-lines log (one record
                                      per routed request)
@@ -74,56 +61,16 @@ usage:
 Stop with SIGTERM/SIGINT or a {"type": "shutdown"} request; in-flight
 requests finish before exit. SIGQUIT dumps the flight recorder and keeps
 routing.
-)";
-  std::exit(error.empty() ? 0 : 2);
-}
-
-/// Flag parser allowing repeated keys (--backend is given once per
-/// backend; everything else behaves last-wins like the other tools).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string key = argv[i];
-      if (key == "--help" || key == "-h") usage();
-      if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-      if (i + 1 >= argc) usage("flag '" + key + "' needs a value");
-      values_.emplace_back(key, argv[++i]);
-    }
-  }
-
-  std::optional<std::string> get(const std::string& key) const {
-    std::optional<std::string> found;
-    for (const auto& [k, v] : values_)
-      if (k == key) found = v;
-    return found;
-  }
-
-  std::vector<std::string> get_all(const std::string& key) const {
-    std::vector<std::string> found;
-    for (const auto& [k, v] : values_)
-      if (k == key) found.push_back(v);
-    return found;
-  }
-
-  double number_or(const std::string& key, double dflt) const {
-    const auto v = get(key);
-    return v ? std::stod(*v) : dflt;
-  }
-
-  const std::vector<std::pair<std::string, std::string>>& all() const {
-    return values_;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
+)",
+    /*profile_out=*/false,
+    {"--backend"}};
 
 /// Parses "[NAME=]ENDPOINT[@WEIGHT]". '@' never appears in the endpoint
 /// grammar ("unix:<path>" / "tcp:<host>:<port>" / bare path), and the
 /// NAME is cut at the first '=' only when one precedes the endpoint's
 /// scheme prefix.
-route::BackendSpec parse_backend(const std::string& text, std::size_t index) {
+route::BackendSpec parse_backend(const tools::DaemonArgs& args,
+                                 const std::string& text, std::size_t index) {
   route::BackendSpec spec;
   std::string rest = text;
   const std::size_t at = rest.rfind('@');
@@ -131,10 +78,11 @@ route::BackendSpec parse_backend(const std::string& text, std::size_t index) {
     const std::string weight_text = rest.substr(at + 1);
     try {
       const int weight = std::stoi(weight_text);
-      if (weight < 1) usage("backend weight must be >= 1 in '" + text + "'");
+      if (weight < 1)
+        args.usage_error("backend weight must be >= 1 in '" + text + "'");
       spec.weight = static_cast<std::size_t>(weight);
     } catch (const std::exception&) {
-      usage("bad backend weight in '" + text + "'");
+      args.usage_error("bad backend weight in '" + text + "'");
     }
     rest = rest.substr(0, at);
   }
@@ -147,156 +95,35 @@ route::BackendSpec parse_backend(const std::string& text, std::size_t index) {
     spec.endpoint = rest;
   }
   if (spec.name.empty() || spec.endpoint.empty())
-    usage("bad --backend '" + text + "' (want [NAME=]ENDPOINT[@WEIGHT])");
+    args.usage_error("bad --backend '" + text +
+                     "' (want [NAME=]ENDPOINT[@WEIGHT])");
   return spec;
-}
-
-/// Self-pipe signal bridge — same pattern as mecsc_serve.
-int g_signal_pipe[2] = {-1, -1};
-
-extern "C" void on_signal(int sig) {
-  const char byte = sig == SIGQUIT ? 2 : 1;
-  [[maybe_unused]] const ssize_t n = write(g_signal_pipe[1], &byte, 1);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  try {
-    if (const auto level = args.get("--log-level")) {
-      if (*level == "debug") {
-        util::set_log_level(util::LogLevel::Debug);
-      } else if (*level == "info") {
-        util::set_log_level(util::LogLevel::Info);
-      } else if (*level == "warn") {
-        util::set_log_level(util::LogLevel::Warn);
-      } else if (*level == "error") {
-        util::set_log_level(util::LogLevel::Error);
-      } else if (*level == "off") {
-        util::set_log_level(util::LogLevel::Off);
-      } else {
-        usage("unknown log level '" + *level + "'");
-      }
-    }
-    obs::install_log_bridge();
-    obs::MetricsRegistry::global().reset();
-    const auto metrics_out = args.get("--metrics-out");
-    const auto manifest_out = args.get("--manifest-out");
-
+  return tools::daemon_main(argc, argv, kDaemon, [](tools::Daemon& d) {
+    const tools::DaemonArgs& args = d.args();
     route::RouterOptions options;
-    options.unix_socket_path = args.get("--unix-socket").value_or("");
-    if (const auto port = args.get("--tcp-port")) {
-      options.tcp_port = static_cast<int>(std::stod(*port));
-      if (options.tcp_port < 0 || options.tcp_port > 65535)
-        usage("--tcp-port must be in [0, 65535]");
-    }
-    if (options.unix_socket_path.empty() && options.tcp_port < 0)
-      usage("need --unix-socket PATH or --tcp-port PORT");
-    if (!options.unix_socket_path.empty() && options.tcp_port >= 0)
-      usage("--unix-socket and --tcp-port are mutually exclusive");
+    d.parse_frontend_flags(options);
     const std::vector<std::string> backend_args = args.get_all("--backend");
-    if (backend_args.empty()) usage("need at least one --backend");
+    if (backend_args.empty()) args.usage_error("need at least one --backend");
     for (std::size_t i = 0; i < backend_args.size(); ++i)
-      options.backends.push_back(parse_backend(backend_args[i], i));
-    options.health_interval_ms =
-        args.number_or("--health-interval-ms", 1000.0);
-    options.probe_failure_threshold =
-        static_cast<std::size_t>(args.number_or("--probe-failures", 2));
+      options.backends.push_back(parse_backend(args, backend_args[i], i));
+    options.health_interval_ms = args.number("--health-interval-ms", 1000.0);
+    options.probe_failure_threshold = args.count("--probe-failures", 2);
     if (options.probe_failure_threshold == 0)
-      usage("--probe-failures must be >= 1");
-    options.spill_queue_fraction =
-        args.number_or("--spill-queue-fraction", 0.9);
+      args.usage_error("--probe-failures must be >= 1");
+    options.spill_queue_fraction = args.number("--spill-queue-fraction", 0.9);
     if (options.spill_queue_fraction <= 0.0)
-      usage("--spill-queue-fraction must be > 0");
-    if (const auto parser = args.get("--parser")) {
-      if (*parser == "arena") {
-        options.use_arena_parser = true;
-      } else if (*parser == "dom") {
-        options.use_arena_parser = false;
-      } else {
-        usage("--parser must be 'arena' or 'dom'");
-      }
-    }
-    options.request_log_path = args.get("--request-log").value_or("");
-    options.request_log_max_mb = args.number_or("--request-log-max-mb", 0.0);
-    options.slow_request_ms = args.number_or("--slow-request-ms", -1.0);
-    options.trace_out = args.get("--trace-out").value_or("");
-    options.trace_sample_rate = args.number_or("--trace-sample-rate", 0.0);
-    if (options.trace_sample_rate < 0.0 || options.trace_sample_rate > 1.0)
-      usage("--trace-sample-rate must be in [0, 1]");
-    options.flight_recorder_capacity =
-        static_cast<std::size_t>(args.number_or("--flight-recorder", 256));
-    if (const auto admin = args.get("--admin-port")) {
-      options.admin_port = static_cast<int>(std::stod(*admin));
-      if (options.admin_port < 0 || options.admin_port > 65535)
-        usage("--admin-port must be in [0, 65535]");
-    }
-    options.telemetry_window_ms =
-        args.number_or("--telemetry-window-ms", 60000.0);
-    if (options.telemetry_window_ms <= 0.0)
-      usage("--telemetry-window-ms must be > 0");
-    if (args.get("--admin-port-file") && options.admin_port < 0)
-      usage("--admin-port-file needs --admin-port");
+      args.usage_error("--spill-queue-fraction must be > 0");
 
     route::Router router(std::move(options));
     router.start();
     std::cerr << "routing on " << router.endpoint() << " ("
               << backend_args.size() << " backends)\n";
-    if (router.admin_port() >= 0)
-      std::cerr << "admin endpoint on tcp:127.0.0.1:" << router.admin_port()
-                << " (/metrics, /stats, /debug/flight)\n";
-    if (const auto port_file = args.get("--port-file")) {
-      core::write_text_file(*port_file,
-                            std::to_string(router.port()) + "\n");
-    }
-    if (const auto admin_port_file = args.get("--admin-port-file")) {
-      core::write_text_file(*admin_port_file,
-                            std::to_string(router.admin_port()) + "\n");
-    }
-
-    if (pipe(g_signal_pipe) != 0) {
-      std::cerr << "error: cannot create signal pipe: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGQUIT, on_signal);
-    std::signal(SIGPIPE, SIG_IGN);
-    const std::string flight_dump_path =
-        args.get("--flight-dump").value_or("");
-    std::thread signal_watcher([&router, &flight_dump_path] {
-      char byte = 0;
-      while (true) {
-        const ssize_t n = read(g_signal_pipe[0], &byte, 1);
-        if (n == 1 && byte == 2) {
-          const std::string dump = router.flight_json().dump(2);
-          if (flight_dump_path.empty()) {
-            std::cerr << "flight recorder dump (SIGQUIT):\n" << dump << "\n";
-          } else {
-            try {
-              core::write_text_file(flight_dump_path, dump + "\n");
-              std::cerr << "wrote " << flight_dump_path << "\n";
-            } catch (const std::exception& e) {
-              std::cerr << "error: flight dump failed: " << e.what() << "\n";
-            }
-          }
-          continue;
-        }
-        if (n == 1) {
-          router.request_shutdown();
-          return;
-        }
-        if (n == 0) return;
-        if (errno != EINTR) return;
-      }
-    });
-
-    router.wait();
-    close(g_signal_pipe[1]);
-    signal_watcher.join();
-    close(g_signal_pipe[0]);
+    d.serve(router);
 
     const route::RouterStats stats = router.stats();
     std::cerr << "drained: " << stats.requests_total << " requests ("
@@ -304,36 +131,5 @@ int main(int argc, char** argv) {
               << " errors), " << stats.forwarded << " forwarded, "
               << stats.spilled << " spilled, " << stats.backend_failures
               << " backend failures\n";
-
-    if (metrics_out) {
-      core::write_text_file(
-          *metrics_out,
-          obs::MetricsRegistry::global().snapshot().to_json().dump(2));
-      std::cerr << "wrote " << *metrics_out << "\n";
-    }
-    std::optional<std::string> manifest_path = manifest_out;
-    if (!manifest_path && metrics_out)
-      manifest_path = *metrics_out + ".manifest.json";
-    if (manifest_path) {
-      obs::RunManifest manifest;
-      manifest.tool = "mecsc_route";
-      manifest.command = "route";
-      for (const auto& [key, value] : args.all()) {
-        // Repeated --backend flags fold into one comma-joined config value
-        // (manifest config is a flat object).
-        if (manifest.config.count(key)) {
-          manifest.config[key] = util::JsonValue(
-              manifest.config[key].as_string() + "," + value);
-        } else {
-          manifest.config[key] = util::JsonValue(value);
-        }
-      }
-      obs::write_manifest(*manifest_path, manifest);
-      std::cerr << "wrote " << *manifest_path << "\n";
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }
