@@ -14,7 +14,6 @@
 #include "net/shortest_path.h"
 #include "net/transit_stub.h"
 #include "opt/gap.h"
-#include "opt/hungarian.h"
 #include "opt/mcmf.h"
 #include "opt/simplex.h"
 #include "opt/transportation.h"
@@ -44,17 +43,6 @@ void BM_TransitStubGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransitStubGeneration)->Arg(100)->Arg(400);
-
-void BM_Hungarian(benchmark::State& state) {
-  util::Rng rng(3);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> cost(n * n);
-  for (auto& c : cost) c = rng.uniform_real(0.0, 10.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(opt::solve_assignment(cost, n, n));
-  }
-}
-BENCHMARK(BM_Hungarian)->Arg(20)->Arg(100);
 
 void BM_McmfAssignment(benchmark::State& state) {
   util::Rng rng(4);

@@ -25,30 +25,25 @@ inline constexpr int kIoFormatVersion = 1;
 /// constants).
 util::JsonValue instance_to_json(const Instance& inst);
 
-/// Rebuilds an instance. Throws util::JsonError on malformed documents and
-/// std::invalid_argument on semantically invalid ones (bad ids, negative
-/// capacities, unknown congestion kind, version mismatch).
-Instance instance_from_json(const util::JsonValue& doc);
-
-/// Arena-path equivalent of instance_from_json. Both decoders are one
-/// template instantiated for the two document types, so validation rules
-/// and error messages are identical by construction.
+/// Rebuilds an instance from a parsed document. Throws util::JsonError on
+/// malformed documents and std::invalid_argument on semantically invalid
+/// ones (bad ids, negative capacities, unknown congestion kind, version
+/// mismatch); every message names the offending element.
 Instance instance_from_arena(const util::JsonArena::View& doc);
 
-/// Bytes → Instance through the arena hot path: no DOM is materialized.
-/// Throws util::JsonError on malformed JSON (same offsets/messages as
-/// parse_json) and std::invalid_argument on semantically invalid documents
-/// (same messages as instance_from_json).
+/// Bytes → Instance: parse_json_arena plus instance_from_arena, with no
+/// JsonValue tree in between. Parse errors carry the byte offset.
 Instance instance_from_json_text(std::string_view text);
 
 /// Serializes a strategy profile together with its cost summary.
 util::JsonValue assignment_to_json(const Assignment& a);
 
-/// Rebinds a serialized profile to `inst`. Throws std::invalid_argument if
-/// the profile does not fit the instance (size mismatch, invalid cloudlet
-/// ids, capacity violations).
-Assignment assignment_from_json(const Instance& inst,
-                                const util::JsonValue& doc);
+/// Parses a serialized profile and rebinds it to `inst`. Throws
+/// util::JsonError on malformed JSON and std::invalid_argument if the
+/// profile does not fit the instance (size mismatch, invalid cloudlet ids,
+/// capacity violations).
+Assignment assignment_from_json_text(const Instance& inst,
+                                     std::string_view text);
 
 /// Convenience text-file helpers (throw std::runtime_error on I/O errors).
 std::string read_text_file(const std::string& path);

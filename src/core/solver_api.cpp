@@ -25,17 +25,13 @@ bool solver_algorithm_known(const std::string& name) {
   return false;
 }
 
-namespace {
-
-/// Shared semantic decode; see the header note on the two overloads.
-template <class Doc>
-SolveSpec solve_spec_from_any(const Doc& doc) {
+SolveSpec solve_spec_from_arena(const util::JsonArena::View& doc) {
   SolveSpec spec;
   if (doc.contains("algorithm")) {
     spec.algorithm = std::string(doc.at("algorithm").as_string());
   }
   if (doc.contains("one_minus_xi")) {
-    const auto& v = doc.at("one_minus_xi");
+    const util::JsonArena::View v = doc.at("one_minus_xi");
     if (!v.is_number()) {
       throw std::invalid_argument("field \"one_minus_xi\" must be a number");
     }
@@ -48,20 +44,10 @@ SolveSpec solve_spec_from_any(const Doc& doc) {
   return spec;
 }
 
-}  // namespace
-
-SolveSpec solve_spec_from_json(const util::JsonValue& doc) {
-  return solve_spec_from_any(doc);
-}
-
-SolveSpec solve_spec_from_arena(const util::JsonArena::View& doc) {
-  return solve_spec_from_any(doc);
-}
-
 SolveSpec decode_solve_spec(const char* data, std::size_t size) {
   const util::JsonArena arena =
       util::parse_json_arena(std::string_view(data, size));
-  return solve_spec_from_any(arena.root());
+  return solve_spec_from_arena(arena.root());
 }
 
 std::string SolveSpec::cache_key() const {

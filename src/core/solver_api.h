@@ -59,17 +59,13 @@ bool solver_algorithm_known(const std::string& name);
 
 /// Decodes the solve-spec fields of a request document: "algorithm" (must
 /// name a known solver) and "one_minus_xi" (must be a number); absent
-/// fields keep the SolveSpec defaults, extra fields are ignored. Both
-/// overloads are one template instantiated for the two document types, so
-/// the DOM and arena request paths of the service validate identically by
-/// construction. Throws std::invalid_argument / util::JsonError with the
-/// messages the service maps to "bad_request".
-SolveSpec solve_spec_from_json(const util::JsonValue& doc);
+/// fields keep the SolveSpec defaults, extra fields are ignored. Throws
+/// std::invalid_argument / util::JsonError with the messages the service
+/// maps to "bad_request".
 SolveSpec solve_spec_from_arena(const util::JsonArena::View& doc);
 
-/// Pull-style decoder for the serving hot path: raw request bytes →
-/// SolveSpec through the arena parser, no DOM materialized. Accepts
-/// exactly what solve_spec_from_json(parse_json(...)) accepts.
+/// Raw request bytes → SolveSpec: parse_json_arena plus
+/// solve_spec_from_arena.
 SolveSpec decode_solve_spec(const char* data, std::size_t size);
 
 /// Per-call observability plumbing for run_solver. Carried separately

@@ -22,8 +22,8 @@ constexpr svc::FrontendRole kRouterRole{
 
 /// Splices `,"key":<value_json>` immediately before the final '}' of a
 /// serialized JSON object, exploiting the protocol's last-duplicate-wins
-/// rule (util/json_arena.h): both parse paths resolve duplicate object
-/// keys to the final occurrence, so the spliced field overrides any
+/// rule (util/json_arena.h): every reader of a parsed document resolves
+/// duplicate object keys to the final occurrence, so the spliced field overrides any
 /// earlier one without re-serializing the line. `value_json` must be a
 /// complete JSON value; key and value are router-minted (safe charset),
 /// never client bytes.
@@ -486,6 +486,9 @@ RouterStats Router::stats() const {
   s.forwarded = forwarded_.load(std::memory_order_relaxed);
   s.spilled = spilled_.load(std::memory_order_relaxed);
   s.backend_failures = backend_failures_.load(std::memory_order_relaxed);
+  for (const auto& backend : backends_)
+    s.backend_reconnects +=
+        backend->reconnects.load(std::memory_order_relaxed);
   return s;
 }
 

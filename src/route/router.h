@@ -13,10 +13,10 @@
 //
 // The router never decodes an instance and never re-serializes a request
 // or response: field injection exploits the protocol's last-duplicate-
-// wins rule (util/json_arena.h — both parsers resolve duplicate object
-// keys to the final occurrence), so appending `,"key":value` before the
-// closing '}' of a line overrides the field without touching the rest of
-// the bytes.
+// wins rule (util/json_arena.h — at(), the canonical dump and
+// to_json_value() all resolve duplicate object keys to the final
+// occurrence), so appending `,"key":value` before the closing '}' of a
+// line overrides the field without touching the rest of the bytes.
 //
 // Spillover + drain share one mechanism: the ShardMap's clockwise
 // preference order. A backend is skipped when it is draining (the
@@ -87,7 +87,7 @@ struct RouterOptions : svc::FrontendOptions {
 struct RouterStats : svc::FrontendStats {
   std::uint64_t forwarded = 0;       ///< requests sent to some backend
   std::uint64_t spilled = 0;         ///< landed off their preferred shard
-  std::uint64_t backend_reconnects = 0;
+  std::uint64_t backend_reconnects = 0;  ///< sum of per-backend reconnects
   std::uint64_t backend_failures = 0;  ///< forwards that lost a backend
 };
 

@@ -269,8 +269,8 @@ std::string SolverServer::solve(Request& request) {
     bool published = false;
     try {
       const core::Instance inst = [&] {
-        // The request subtree decodes straight to an Instance: no DOM and
-        // no re-parse of instance_bytes.
+        // The request subtree decodes straight to an Instance: no
+        // JsonValue tree and no re-parse of instance_bytes.
         MECSC_PROFILE_SCOPE("svc.decode_instance");
         const util::Timer decode_timer;
         core::Instance decoded = core::instance_from_arena(doc.at("instance"));

@@ -1,10 +1,12 @@
-// Minimal JSON value model, parser, and serializer.
+// JSON value model and canonical serializer.
 //
 // Substrate for the instance/solution interchange format (core/io.h) and
 // the mecsc CLI: experiments can be generated once, solved by different
 // algorithm configurations, and evaluated elsewhere. Self-contained (no
 // third-party dependency), supports the full JSON grammar except for
-// numbers outside double range.
+// numbers outside double range. The one tokenizer lives in
+// util/json_arena.h; parse_json below materializes its result as a
+// JsonValue tree.
 #pragma once
 
 #include <cstddef>
@@ -98,8 +100,10 @@ class JsonValue {
 
 /// Hard limits applied while parsing. The defaults are far above anything
 /// the interchange format produces but small enough that adversarial input
-/// arriving over the solver-service socket (src/svc/) cannot blow the
-/// parser's recursion stack or stall it with pathological tokens.
+/// arriving over the solver-service socket (src/svc/) cannot drive the
+/// recursive consumers of a parsed document (the dumpers, JsonValue
+/// materialization) arbitrarily deep or stall the parser with pathological
+/// tokens.
 struct JsonParseLimits {
   /// Maximum container nesting depth ([[ or {{ counts as 2).
   std::size_t max_depth = 128;
@@ -109,11 +113,13 @@ struct JsonParseLimits {
   std::size_t max_number_length = 64;
 };
 
-/// Parses a complete JSON document; throws JsonError carrying the byte
-/// offset of the first problem (also spelled out in the message). Trailing
-/// non-whitespace is an error, as are documents exceeding `limits`.
-/// Numbers follow the strict RFC 8259 grammar: no leading zeros, no bare
-/// '.', no 'inf'/'nan', and a finite double value.
+/// Parses a complete JSON document into an owned tree: parse_json_arena
+/// (util/json_arena.h) followed by View::to_json_value(), so errors,
+/// limits and number bits are exactly the arena parser's. Throws JsonError
+/// carrying the byte offset of the first problem (also spelled out in the
+/// message). Trailing non-whitespace is an error, as are documents
+/// exceeding `limits`. Numbers follow the strict RFC 8259 grammar: no
+/// leading zeros, no bare '.', no 'inf'/'nan', and a finite double value.
 JsonValue parse_json(const std::string& text,
                      const JsonParseLimits& limits = {});
 

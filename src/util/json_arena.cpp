@@ -15,8 +15,7 @@ namespace {
 using Type = JsonArenaNode::Type;
 
 [[noreturn]] void type_error(const char* want) {
-  // Same spelling as the JsonValue accessors: decoding code templated over
-  // both document types must surface identical errors.
+  // Same spelling as the JsonValue accessors.
   throw JsonError(std::string("json: value is not ") + want);
 }
 
@@ -71,8 +70,9 @@ std::string_view JsonArena::View::key() const {
 
 JsonArena::View JsonArena::View::at(std::string_view key) const {
   if (!is_object()) type_error("an object");
-  // Duplicate keys resolve to the last occurrence — the value std::map
-  // assignment keeps on the DOM path, so both paths decode the same data.
+  // Duplicate keys resolve to the last occurrence — the member the
+  // canonical dump and to_json_value() keep, so every consumer decodes the
+  // same data.
   View match;
   bool found = false;
   for (const View member : as_object()) {
@@ -108,9 +108,9 @@ JsonArena::View JsonArena::View::ChildRange::operator[](std::size_t i) const {
 
 namespace {
 
-/// Mirrors the DOM Dumper (util/json.cpp) over cursors. Recursion depth is
-/// bounded by the max_depth enforced at parse time, so — unlike parsing —
-/// recursing here cannot be driven arbitrarily deep by input.
+/// Mirrors the JsonValue Dumper (util/json.cpp) over cursors. Recursion
+/// depth is bounded by the max_depth enforced at parse time, so recursing
+/// here cannot be driven arbitrarily deep by input.
 struct ArenaDumper {
   std::string os;
   int indent;
@@ -148,8 +148,7 @@ struct ArenaDumper {
       os += ']';
     } else {
       // Canonical member order: sorted by key, duplicates collapsed to the
-      // last occurrence — exactly what parsing into std::map produces on
-      // the DOM path.
+      // last occurrence — exactly what to_json_value()'s std::map keeps.
       std::vector<JsonArena::View> members;
       members.reserve(v.size());
       for (const JsonArena::View member : v.as_object()) {
@@ -206,7 +205,7 @@ JsonValue JsonArena::View::to_json_value() const {
   JsonObject o;
   for (const View member : as_object()) {
     // Assignment, not emplace: duplicate keys keep the last value, same as
-    // the DOM parser.
+    // at() and the canonical dump.
     o[std::string(member.key())] = member.to_json_value();
   }
   return JsonValue(std::move(o));
@@ -272,8 +271,8 @@ int bit_width_u128(unsigned __int128 v) {
 /// normal — so no overflow, underflow, or subnormal case can arise here;
 /// every such input takes the slow path instead. Correct rounding is also
 /// what glibc's strtod guarantees, which makes this path bit-identical to
-/// the DOM converter (a requirement: the canonical %.17g dump feeds the
-/// service cache digest).
+/// the std::stod fallback (a requirement: the canonical %.17g dump feeds
+/// the service cache digest).
 double exact_scaled_decimal(std::uint64_t m, int e10) {
   unsigned __int128 n;
   int exp2;
@@ -308,11 +307,9 @@ double exact_scaled_decimal(std::uint64_t m, int e10) {
   return std::ldexp(static_cast<double>(keep), exp2 + drop);
 }
 
-/// Iterative in-situ parser. Every scanning decision — offsets consumed,
-/// error messages, limit checks — is a line-for-line port of the recursive
-/// DOM Parser in util/json.cpp; only value *construction* differs. When
-/// changing either parser, change both and re-run the shared corpora in
-/// tests/test_json.cpp (the parity gate).
+/// Iterative in-situ parser. Every offset and message it reports is pinned
+/// by the corpora in tests/test_json.cpp; extend them with any behavior
+/// you touch.
 class ArenaParser {
  public:
   ArenaParser(std::string_view text, const JsonParseLimits& limits,
@@ -332,8 +329,8 @@ class ArenaParser {
 
  private:
   /// One open container during parsing: the node plus its trailing child
-  /// (for sibling linking). The stack replaces the DOM parser's recursion,
-  /// so adversarial nesting cannot exhaust the call stack.
+  /// (for sibling linking). The stack replaces recursion, so adversarial
+  /// nesting cannot exhaust the call stack.
   struct Open {
     std::uint32_t node;
     std::uint32_t last_child;
@@ -346,7 +343,7 @@ class ArenaParser {
   std::size_t size_ = 0;
   std::vector<Open> stack_;
   /// Reused number-token buffer: keeps std::stod's exact accept/reject
-  /// semantics (the DOM path's converter) without a per-token allocation.
+  /// semantics for the slow path without a per-token allocation.
   std::string number_buf_;
 
   char* data() { return scratch_.data(); }
@@ -438,8 +435,8 @@ class ArenaParser {
       skip_ws();
       const char c = peek();
       if (c == '{' || c == '[') {
-        // Depth check before consuming the bracket: the DOM DepthGuard
-        // fires at the offset of the offending opener, and so must this.
+        // Depth check before consuming the bracket, so the error names the
+        // offset of the opener that first exceeds the limit.
         if (stack_.size() + 1 > limits_.max_depth) {
           fail("nesting deeper than " + std::to_string(limits_.max_depth) +
                " levels");
@@ -517,8 +514,7 @@ class ArenaParser {
 
   /// Decodes a string token *in place*: the write cursor starts at the
   /// first content byte and every decoded form is no longer than its raw
-  /// spelling, so writes never overtake reads. Character-level logic and
-  /// error offsets are identical to the DOM parse_string.
+  /// spelling, so writes never overtake reads.
   void parse_string_in_situ(std::uint32_t& out_off, std::uint32_t& out_len) {
     expect('"');
     char* buf = data();
@@ -574,31 +570,34 @@ class ArenaParser {
           buf[w++] = '\f';
           break;
         case 'u': {
-          if (pos_ + 4 > size_) fail("bad \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = buf[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
+          const std::size_t escape_at = pos_ - 2;  // the backslash
+          unsigned code = parse_hex4();
+          // UTF-16 surrogates only make sense as a high+low pair, which
+          // spells one supplementary code point; a lone or reversed half
+          // would decode to bytes that are not UTF-8.
+          if (code >= 0xD800 && code <= 0xDBFF && pos_ + 1 < size_ &&
+              buf[pos_] == '\\' && buf[pos_ + 1] == 'u') {
+            pos_ += 2;
+            const unsigned low = parse_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) unpaired_surrogate(escape_at);
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          } else if (code >= 0xD800 && code <= 0xDFFF) {
+            unpaired_surrogate(escape_at);
           }
-          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // the interchange format never emits them). Worst case three
-          // decoded bytes for six raw ones, so in-situ still holds.
+          // UTF-8 encode. Worst cases: three bytes for one six-byte escape,
+          // four for a twelve-byte pair, so in-situ still holds.
           if (code < 0x80) {
             buf[w++] = static_cast<char>(code);
           } else if (code < 0x800) {
             buf[w++] = static_cast<char>(0xC0 | (code >> 6));
             buf[w++] = static_cast<char>(0x80 | (code & 0x3F));
-          } else {
+          } else if (code < 0x10000) {
             buf[w++] = static_cast<char>(0xE0 | (code >> 12));
+            buf[w++] = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            buf[w++] = static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            buf[w++] = static_cast<char>(0xF0 | (code >> 18));
+            buf[w++] = static_cast<char>(0x80 | ((code >> 12) & 0x3F));
             buf[w++] = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
             buf[w++] = static_cast<char>(0x80 | (code & 0x3F));
           }
@@ -610,6 +609,32 @@ class ArenaParser {
     }
   }
 
+  /// The four hex digits after "\\u"; fails at the first bad digit.
+  unsigned parse_hex4() {
+    if (pos_ + 4 > size_) fail("bad \\u escape");
+    const char* buf = data();
+    unsigned code = 0;
+    for (int k = 0; k < 4; ++k) {
+      const char h = buf[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code += static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code += static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code += static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        fail("bad \\u escape");
+      }
+    }
+    return code;
+  }
+
+  [[noreturn]] void unpaired_surrogate(std::size_t escape_at) {
+    pos_ = escape_at;
+    fail("bad \\u escape: unpaired UTF-16 surrogate");
+  }
+
   bool digit_at(std::size_t i) {
     // Plain range compare, not std::isdigit: identical for every byte in
     // the "C" locale (the only one this program runs in) and free of
@@ -617,14 +642,15 @@ class ArenaParser {
     return i < size_ && data()[i] >= '0' && data()[i] <= '9';
   }
 
-  /// Strict RFC 8259 number grammar — the DOM parse_number verbatim — with
-  /// the mantissa and decimal exponent accumulated during the scan. Tokens
-  /// whose mantissa fits a uint64 with |e10| <= 27 (every token the
-  /// canonical %.17g/%lld serializer can emit) convert through the exact
-  /// integer rounder above; anything else — more than ~19 significant
-  /// digits, huge exponents, values near the double range limits — falls
-  /// back to the DOM's std::stod converter, keeping accept/reject behavior
-  /// and range-error offsets identical across paths by construction.
+  /// Strict RFC 8259 number grammar — [-] int [frac] [exp], no leading
+  /// zero, which keeps "inf", "nan", hex floats, "1.", ".5" and "01" off the
+  /// network boundary — with the mantissa and decimal exponent accumulated
+  /// during the scan. Tokens whose mantissa fits a uint64 with |e10| <= 27
+  /// (every token the canonical %.17g/%lld serializer can emit) convert
+  /// through the exact integer rounder above; anything else — more than
+  /// ~19 significant digits, huge exponents, values near the double range
+  /// limits — falls back to std::stod, whose range rejections define the
+  /// accept/reject behavior at the edges of the double range.
   double parse_number_token() {
     const std::size_t start = pos_;
     bool negative = false;
@@ -693,10 +719,9 @@ class ArenaParser {
     return convert_number_slow(start);
   }
 
-  /// The DOM converter — std::stod over a copied token — kept as the
-  /// reference semantics for tokens outside the fast path's envelope,
-  /// including its range rejections (overflow, and underflow-to-subnormal,
-  /// which glibc reports as out_of_range).
+  /// std::stod over a copied token, for tokens outside the fast path's
+  /// envelope, including its range rejections (overflow, and
+  /// underflow-to-subnormal, which glibc reports as out_of_range).
   double convert_number_slow(std::size_t start) {
     number_buf_.assign(data() + start, pos_ - start);
     try {
@@ -719,6 +744,14 @@ class ArenaParser {
 
 JsonArena parse_json_arena(std::string_view text,
                            const JsonParseLimits& limits) {
+  // Nodes address the scratch buffer with uint32_t offsets; refuse before
+  // copying rather than truncate them.
+  constexpr std::size_t kMaxBytes = std::numeric_limits<std::uint32_t>::max();
+  if (text.size() > kMaxBytes) {
+    throw JsonError("json parse error at offset 0: document longer than " +
+                        std::to_string(kMaxBytes) + " bytes",
+                    0);
+  }
   JsonArena arena;
   ArenaParser p(text, limits, arena.scratch_, arena.nodes_);
   p.parse_document();

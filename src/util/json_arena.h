@@ -1,38 +1,35 @@
-// Arena-backed, in-situ JSON parse path — the serving hot path's parser.
+// Arena-backed, in-situ JSON parser — the only JSON tokenizer in the tree.
 //
-// parse_json (util/json.h) builds a generic DOM: one heap allocation per
-// node (std::map members, std::string copies). That is the right reference
-// semantics for files and tests, but the solver service decodes a request
-// per line at the highest frequency of any code in the system, and the DOM
-// allocations dominate the decode profile. This header is the second parse
-// path: the whole document lands in two contiguous buffers —
+// Every document is parsed here: the service decodes request lines
+// straight from the arena, and util::parse_json (util/json.h) is this
+// parse followed by View::to_json_value() for callers that want an owned
+// tree. The whole document lands in two contiguous buffers —
 //
 //   scratch_  one mutable copy of the input bytes; string tokens are
 //             escape-decoded *in place* (decoded text is never longer than
 //             its raw spelling), so string values are views into this
 //             buffer and never allocate;
-//   nodes_    a flat array of fixed-size nodes in document order, sized
-//             up front from a structural pre-scan so it never reallocates
-//             mid-parse. Containers link their children cjson-style: the
-//             parent holds the first-child index, each child the index of
-//             its next sibling (indices, not pointers, so the arena can
-//             move wholesale).
+//   nodes_    a flat array of fixed-size nodes in document order.
+//             Containers link their children cjson-style: the parent
+//             holds the first-child index, each child the index of its
+//             next sibling (indices, not pointers, so the arena can move
+//             wholesale). Offsets are uint32_t, so documents larger than
+//             4 GiB are rejected before anything is copied.
 //
 // Parsing is iterative (an explicit open-container stack), so adversarial
-// nesting cannot exhaust the call stack; JsonParseLimits::max_depth is
-// still enforced for *parity*, not safety.
+// nesting cannot exhaust the parser's call stack. JsonParseLimits::max_depth
+// still bounds the document, because the consumers of a parsed document
+// (the dumper below, to_json_value) recurse once per level.
 //
-// Parity contract with the DOM path (tested by the shared corpora in
-// tests/test_json.cpp and the differential suite in
-// tests/test_json_arena.cpp; documented in DESIGN.md):
-//   - identical accept/reject decisions on every input;
-//   - identical JsonError messages and byte offsets, including the strict
-//     RFC 8259 number grammar, the depth limit, and the number-length cap;
-//   - canonical re-serialization (dump()) is byte-identical with the
-//     JsonValue dump of the same document: members sorted by key, last
-//     duplicate wins, same escape and number formatting. The service's
-//     digest-keyed result cache relies on this — both parse paths must
-//     produce the same cache key for the same instance bytes.
+// Two serializers, one byte contract: JsonArena::dump() and
+// JsonValue::dump() must emit identical bytes for the same document —
+// members sorted by key, last duplicate wins, the shared escape and number
+// formatting from util/json.h. The service's digest-keyed result cache
+// hashes the arena dump of request instances, while the CLI, benches and
+// clients build documents as JsonValue trees; tests/test_json_arena.cpp
+// holds the two to the same bytes. The error contract (offsets and
+// messages of every rejection) is pinned by the corpora in
+// tests/test_json.cpp and documented in DESIGN.md.
 //
 // Lifetime/ownership rules: a JsonArena owns its buffers; View cursors and
 // the string_views they return borrow from it and are invalidated by
@@ -100,8 +97,7 @@ class JsonArena {
   /// Cursor onto the document root. Throws JsonError on an empty arena.
   View root() const;
 
-  /// Total parsed values (root included) — the arena analogue of a DOM
-  /// node count, used by bench_json to sanity-check coverage.
+  /// Total parsed values (root included); bench_json records it.
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Bytes of the in-situ scratch buffer (== input size).
@@ -109,7 +105,7 @@ class JsonArena {
 
   /// Canonical serialization of the whole document: members sorted by key
   /// (last duplicate wins), identical bytes to JsonValue::dump() of the
-  /// same input. `indent` > 0 pretty-prints exactly like the DOM dumper.
+  /// same document. `indent` > 0 pretty-prints exactly like it too.
   std::string dump(int indent = 0) const;
 
  private:
@@ -123,8 +119,7 @@ class JsonArena {
 
 /// Lightweight cursor over one arena value: {arena pointer, node index}.
 /// Copyable; borrows the arena (see lifetime rules above). Accessors throw
-/// JsonError with the same messages as the JsonValue accessors, so decoding
-/// code templated over both document types reports identical errors.
+/// JsonError with the same messages as the JsonValue accessors.
 class JsonArena::View {
  public:
   View() = default;
@@ -142,8 +137,7 @@ class JsonArena::View {
   std::string_view as_string() const;
 
   /// Forward range over a container's children (Views; objects expose the
-  /// member name via View::key()). Satisfies the same range-for shape as
-  /// JsonArray/JsonObject so decoders can be templated over both.
+  /// member name via View::key()).
   class ChildRange;
   ChildRange as_array() const;   ///< throws unless is_array()
   ChildRange as_object() const;  ///< throws unless is_object()
@@ -152,7 +146,7 @@ class JsonArena::View {
   std::size_t size() const;
 
   /// Object member lookup. Duplicate keys resolve to the *last* occurrence
-  /// — the same value std::map assignment keeps on the DOM path. Throws
+  /// — the member the canonical dump and to_json_value() keep. Throws
   /// JsonError "json: missing key 'k'" when absent or not an object.
   View at(std::string_view key) const;
   bool contains(std::string_view key) const;
@@ -164,13 +158,14 @@ class JsonArena::View {
   /// Member name when this view was reached as an object member.
   std::string_view key() const;
 
-  /// Canonical serialization of this subtree (same bytes as the DOM dump
-  /// of the equivalent JsonValue — the service digests instance subtrees
-  /// through this).
+  /// Canonical serialization of this subtree (same bytes as the
+  /// JsonValue dump of the equivalent tree — the service digests instance
+  /// subtrees through this).
   std::string dump(int indent = 0) const;
 
-  /// Materializes this subtree as a DOM value (small subtrees only — the
-  /// service converts request ids for response envelopes, never payloads).
+  /// Materializes this subtree as an owned JsonValue tree; util::parse_json
+  /// is exactly this over the root. Recursion depth is bounded by the
+  /// max_depth the document was parsed under.
   JsonValue to_json_value() const;
 
  private:
@@ -237,9 +232,11 @@ class JsonArena::View::ChildRange {
   std::uint32_t count_;
 };
 
-/// Parses a complete JSON document into an arena. Accept/reject decisions,
-/// JsonError messages, and byte offsets are identical to parse_json under
-/// the same `limits` (the parity contract above).
+/// Parses a complete JSON document into an arena. Throws JsonError with
+/// the byte offset of the first problem (also spelled out in the message):
+/// malformed syntax, a document exceeding `limits`, a non-finite or
+/// out-of-range number, an unpaired UTF-16 surrogate escape, or input
+/// longer than UINT32_MAX bytes (offset 0, before any copy).
 JsonArena parse_json_arena(std::string_view text,
                            const JsonParseLimits& limits = {});
 

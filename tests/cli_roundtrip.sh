@@ -37,6 +37,18 @@ if "$MECSC" solve -i /nonexistent.json --algorithm lcf 2>/dev/null; then
   echo "expected failure on missing file" >&2
   exit 1
 fi
+# A malformed instance file fails, and the message names the byte offset.
+printf '{"format_version": 1, "topology": [1,' > "$DIR/bad.json"
+if "$MECSC" solve -i "$DIR/bad.json" --algorithm lcf 2>"$DIR/bad.err"; then
+  echo "expected failure on malformed instance" >&2
+  exit 1
+fi
+if ! grep -q "json parse error at offset 37: unexpected end of input" \
+    "$DIR/bad.err"; then
+  echo "malformed instance error lacks its offset:" >&2
+  cat "$DIR/bad.err" >&2
+  exit 1
+fi
 if "$MECSC" bogus-subcommand 2>/dev/null; then
   echo "expected failure on bad subcommand" >&2
   exit 1

@@ -1,8 +1,8 @@
 // Hungarian (Kuhn-Munkres) algorithm, O(n^3), for min-cost assignment.
 //
-// Used as a reference solver in tests (cross-checked against MinCostFlow)
-// and inside the Shmoys-Tardos rounding when the slot graph is square.
-// Rectangular instances (rows != cols) are padded with zero-cost dummies.
+// A test-only reference solver: McmfVsHungarianTest cross-checks
+// MinCostFlow against it. Rectangular instances (rows != cols) are padded
+// with zero-cost dummies.
 #pragma once
 
 #include <cstddef>

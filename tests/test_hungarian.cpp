@@ -1,4 +1,4 @@
-#include "opt/hungarian.h"
+#include "hungarian.h"
 
 #include <gtest/gtest.h>
 

@@ -22,7 +22,7 @@ Instance make(std::uint64_t seed = 1) {
 
 TEST(InstanceIo, RoundTripPreservesStructure) {
   const Instance a = make();
-  const Instance b = instance_from_json(instance_to_json(a));
+  const Instance b = instance_from_json_text(instance_to_json(a).dump());
   EXPECT_EQ(b.network.topology().node_count(),
             a.network.topology().node_count());
   EXPECT_EQ(b.network.topology().edge_count(),
@@ -49,7 +49,7 @@ TEST(InstanceIo, RoundTripPreservesStructure) {
 
 TEST(InstanceIo, RoundTripPreservesDistancesAndCosts) {
   const Instance a = make(2);
-  const Instance b = instance_from_json(instance_to_json(a));
+  const Instance b = instance_from_json_text(instance_to_json(a).dump());
   // Recomputed hop matrices must agree — they derive from identical graphs.
   for (std::size_t c = 0; c < a.cloudlet_count(); ++c) {
     for (std::size_t d = 0; d < a.network.data_center_count(); ++d) {
@@ -68,7 +68,7 @@ TEST(InstanceIo, RoundTripPreservesDistancesAndCosts) {
 
 TEST(InstanceIo, AlgorithmsAgreeAcrossRoundTrip) {
   const Instance a = make(3);
-  const Instance b = instance_from_json(instance_to_json(a));
+  const Instance b = instance_from_json_text(instance_to_json(a).dump());
   EXPECT_DOUBLE_EQ(run_lcf(a).social_cost(), run_lcf(b).social_cost());
   EXPECT_DOUBLE_EQ(run_jo_offload_cache(a).social_cost(),
                    run_jo_offload_cache(b).social_cost());
@@ -77,30 +77,33 @@ TEST(InstanceIo, AlgorithmsAgreeAcrossRoundTrip) {
 TEST(InstanceIo, CongestionKindSurvives) {
   Instance a = make(4);
   a.cost.congestion = CongestionKind::Exponential;
-  const Instance b = instance_from_json(instance_to_json(a));
+  const Instance b = instance_from_json_text(instance_to_json(a).dump());
   EXPECT_EQ(b.cost.congestion, CongestionKind::Exponential);
 }
 
 TEST(InstanceIo, RejectsVersionMismatch) {
   auto doc = instance_to_json(make(5));
   doc.as_object()["format_version"] = util::JsonValue(999);
-  EXPECT_THROW(instance_from_json(doc), std::invalid_argument);
+  EXPECT_THROW(instance_from_json_text(doc.dump()),
+               std::invalid_argument);
 }
 
 TEST(InstanceIo, RejectsBadIds) {
   auto doc = instance_to_json(make(6));
   doc.as_object()["data_centers"].as_array()[0] =
       util::JsonValue(100000);  // out of range node
-  EXPECT_THROW(instance_from_json(doc), std::invalid_argument);
+  EXPECT_THROW(instance_from_json_text(doc.dump()),
+               std::invalid_argument);
 }
 
 TEST(InstanceIo, RejectsAlphaSizeMismatch) {
   auto doc = instance_to_json(make(7));
   doc.as_object()["cost"].as_object()["alpha"].as_array().pop_back();
-  EXPECT_THROW(instance_from_json(doc), std::invalid_argument);
+  EXPECT_THROW(instance_from_json_text(doc.dump()),
+               std::invalid_argument);
 }
 
-/// Runs instance_from_json on `doc` after `mutate`, expecting a
+/// Runs instance_from_json_text on `doc` after `mutate`, expecting a
 /// std::invalid_argument whose message contains `needle` — the message must
 /// name the offending element, not just say "invalid".
 template <typename Fn>
@@ -108,7 +111,7 @@ void expect_rejected(util::JsonValue doc, Fn&& mutate,
                      const std::string& needle) {
   mutate(doc);
   try {
-    instance_from_json(doc);
+    instance_from_json_text(doc.dump());
     FAIL() << "document accepted; expected rejection mentioning '" << needle
            << "'";
   } catch (const std::invalid_argument& err) {
@@ -209,15 +212,21 @@ TEST(InstanceIoValidation, RejectsUpdateFractionAboveOne) {
 }
 
 TEST(InstanceIoValidation, RejectsNonFiniteCapacity) {
-  // JSON cannot carry inf, but a hand-built document (or a future binary
-  // path) can; the validator refuses it regardless of transport.
-  expect_rejected(
-      instance_to_json(make(20)),
-      [](util::JsonValue& d) {
-        d.as_object()["cloudlets"].as_array()[0].as_object()["compute"] =
-            util::JsonValue(std::numeric_limits<double>::quiet_NaN());
-      },
-      "cloudlets[0].compute");
+  // JSON cannot carry inf or NaN: a capacity token outside double range is
+  // refused by the parser, at the token's offset, before any decoding.
+  std::string text = instance_to_json(make(20)).dump();
+  const std::string field = "\"compute\":";  // cloudlets[0], keys sorted
+  const std::size_t at = text.find(field) + field.size();
+  text.replace(at, text.find_first_of(",}", at) - at, "1e999");
+  try {
+    instance_from_json_text(text);
+    FAIL() << "accepted a non-finite capacity";
+  } catch (const util::JsonError& err) {
+    EXPECT_EQ(err.offset(), at);
+    EXPECT_NE(std::string(err.what()).find("outside double range"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(InstanceIoValidation, RejectsSelfLoopEdge) {
@@ -296,13 +305,15 @@ TEST(AssignmentIoValidation, RejectsNegativeChoiceBeforeCast) {
   const Instance inst = make(21);
   auto doc = assignment_to_json(Assignment(inst));
   doc.as_object()["choices"].as_array()[0] = util::JsonValue(-1);
-  EXPECT_THROW(assignment_from_json(inst, doc), std::invalid_argument);
+  EXPECT_THROW(assignment_from_json_text(inst, doc.dump()),
+               std::invalid_argument);
 }
 
 TEST(AssignmentIo, RoundTrip) {
   const Instance inst = make(8);
   const Assignment a = run_jo_offload_cache(inst);
-  const Assignment b = assignment_from_json(inst, assignment_to_json(a));
+  const Assignment b =
+      assignment_from_json_text(inst, assignment_to_json(a).dump());
   EXPECT_TRUE(a == b);
   EXPECT_DOUBLE_EQ(a.social_cost(), b.social_cost());
 }
@@ -328,14 +339,16 @@ TEST(AssignmentIo, RejectsSizeMismatch) {
   const Instance inst = make(11);
   auto doc = assignment_to_json(Assignment(inst));
   doc.as_object()["choices"].as_array().pop_back();
-  EXPECT_THROW(assignment_from_json(inst, doc), std::invalid_argument);
+  EXPECT_THROW(assignment_from_json_text(inst, doc.dump()),
+               std::invalid_argument);
 }
 
 TEST(AssignmentIo, RejectsInvalidCloudlet) {
   const Instance inst = make(12);
   auto doc = assignment_to_json(Assignment(inst));
   doc.as_object()["choices"].as_array()[0] = util::JsonValue(99999);
-  EXPECT_THROW(assignment_from_json(inst, doc), std::invalid_argument);
+  EXPECT_THROW(assignment_from_json_text(inst, doc.dump()),
+               std::invalid_argument);
 }
 
 TEST(AssignmentIo, RejectsCapacityViolations) {
@@ -349,7 +362,8 @@ TEST(AssignmentIo, RejectsCapacityViolations) {
   auto doc = assignment_to_json(Assignment(inst));
   doc.as_object()["choices"].as_array()[0] = util::JsonValue(0);
   doc.as_object()["choices"].as_array()[1] = util::JsonValue(0);
-  EXPECT_THROW(assignment_from_json(inst, doc), std::invalid_argument);
+  EXPECT_THROW(assignment_from_json_text(inst, doc.dump()),
+               std::invalid_argument);
 }
 
 TEST(TextFiles, RoundTripAndErrors) {

@@ -2,45 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "util/json_arena.h"
 
 namespace mecsc::util {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Two-path parameterization: every accept/reject corpus below runs against
-// both the DOM parser (util/json.h, the reference) and the arena parser
-// (util/json_arena.h, the serving hot path). The parity contract — identical
-// accept/reject decisions, identical error offsets and messages, identical
-// number bits — is what keeps the service's arena-parsed cache digests equal
-// to the canonical dumps every other tool computes through the DOM.
-// ---------------------------------------------------------------------------
+// The corpora below pin the parser's whole error contract — every offset
+// and message substring — and the exact bits of every accepted number:
+// the canonical dump (and through it the service cache digest) depends on
+// each of them. They run against parse_json_arena, the one tokenizer;
+// parse_json is that parse plus to_json_value().
 
-enum class ParsePath { kDom, kArena };
-
-const char* path_name(ParsePath p) {
-  return p == ParsePath::kDom ? "dom" : "arena";
-}
-
-/// Parses through the selected path and returns the canonical dump (the
-/// byte-level observable the cache digest is built from).
-std::string dump_via(ParsePath path, const std::string& text,
-                     const JsonParseLimits& limits = {}) {
-  if (path == ParsePath::kDom) return parse_json(text, limits).dump();
+/// Parses and returns the canonical dump (the byte-level observable the
+/// cache digest is built from).
+std::string parse_and_dump(const std::string& text,
+                           const JsonParseLimits& limits = {}) {
   return parse_json_arena(text, limits).dump();
 }
 
-/// Parses a one-element array document and returns the number inside, so
-/// scalar number semantics can be compared across paths bit-for-bit.
-double number_via(ParsePath path, const std::string& token) {
-  const std::string doc = "[" + token + "]";
-  if (path == ParsePath::kDom) {
-    return parse_json(doc).as_array().at(0).as_number();
-  }
-  return parse_json_arena(doc).root().as_array()[0].as_number();
+/// Parses a one-element array document and returns the number inside.
+double parse_number(const std::string& token) {
+  return parse_json_arena("[" + token + "]").root().as_array()[0].as_number();
 }
 
 std::uint64_t bits_of(double d) {
@@ -48,14 +36,6 @@ std::uint64_t bits_of(double d) {
   std::memcpy(&u, &d, sizeof u);
   return u;
 }
-
-class JsonParsePaths : public ::testing::TestWithParam<ParsePath> {};
-
-INSTANTIATE_TEST_SUITE_P(BothPaths, JsonParsePaths,
-                         ::testing::Values(ParsePath::kDom, ParsePath::kArena),
-                         [](const auto& info) {
-                           return std::string(path_name(info.param));
-                         });
 
 TEST(Json, ScalarRoundTrips) {
   EXPECT_EQ(parse_json("null"), JsonValue(nullptr));
@@ -113,6 +93,37 @@ TEST(Json, UnicodeEscapeUtf8) {
   EXPECT_EQ(parse_json(R"("€")").as_string(), "\xE2\x82\xAC");  // €
 }
 
+TEST(Json, SurrogatePairDecodesToFourByteUtf8) {
+  const std::string doc = R"(["\ud83d\ude00", "a\uD834\uDD1Eb"])";
+  const JsonValue v = parse_json(doc);
+  EXPECT_EQ(v.as_array()[0].as_string(), "\xF0\x9F\x98\x80");  // U+1F600
+  EXPECT_EQ(v.as_array()[1].as_string(), "a\xF0\x9D\x84\x9E" "b");  // U+1D11E
+  // The dump carries the raw UTF-8, which parses back to the same strings,
+  // and both serializers agree on it.
+  EXPECT_EQ(parse_json(v.dump()), v);
+  EXPECT_EQ(v.dump(), parse_json_arena(doc).dump());
+}
+
+// Arena nodes address the input with uint32_t offsets, so a longer
+// document must be refused up front instead of truncating them. The
+// mapping is reserved, never touched: the check fires before the copy.
+TEST(Json, RejectsDocumentsBeyondFourGiB) {
+  const std::size_t size = (std::size_t{1} << 32) + 1;
+  void* mem = ::mmap(nullptr, size, PROT_READ,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mem == MAP_FAILED) GTEST_SKIP() << "cannot reserve 4 GiB of addresses";
+  try {
+    parse_json_arena(std::string_view(static_cast<const char*>(mem), size));
+    ADD_FAILURE() << "accepted a document longer than UINT32_MAX bytes";
+  } catch (const JsonError& err) {
+    EXPECT_EQ(err.offset(), 0u);
+    EXPECT_NE(std::string(err.what()).find("longer than 4294967295 bytes"),
+              std::string::npos)
+        << err.what();
+  }
+  ::munmap(mem, size);
+}
+
 TEST(Json, DumpParseRoundTrip) {
   const std::string doc = R"({"a":[1,2.5,true,null,"s\n"],"b":{"c":-7}})";
   const JsonValue v = parse_json(doc);
@@ -150,11 +161,10 @@ TEST(Json, ParseErrorsCarryOffsets) {
   }
 }
 
-// The parsers sit on a network boundary (src/svc/), so every malformed
+// The parser sits on a network boundary (src/svc/), so every malformed
 // document must produce a JsonError with an accurate byte offset — never a
 // crash, a hang, or a silently wrong value. One row per failure mode,
-// mirroring the error-path tables of the reference C parsers. The corpus is
-// shared by both parse paths (see malformed_corpus users below).
+// mirroring the error-path tables of the reference C parsers.
 struct MalformedCase {
   const char* input;
   std::size_t offset;           ///< expected JsonError::offset()
@@ -190,6 +200,16 @@ const MalformedCase* malformed_corpus(std::size_t& count) {
       {"\"\\x41\"", 3, "bad escape character"},
       {"\"\\u12\"", 3, "bad \\u escape"},
       {"\"\\uZZZZ\"", 4, "bad \\u escape"},
+      // UTF-16 surrogates must come as a high+low pair; anything else is
+      // rejected at the backslash of the unpaired escape.
+      {"\"\\ud800\"", 1, "bad \\u escape: unpaired"},  // lone high
+      {"\"\\uD800x\"", 1, "bad \\u escape: unpaired"},  // high, then text
+      {"\"\\udc00\"", 1, "bad \\u escape: unpaired"},  // lone low
+      {"\"\\udc00\\ud800\"", 1, "bad \\u escape: unpaired"},  // reversed pair
+      {"\"\\ud800\\u0041\"", 1, "bad \\u escape: unpaired"},  // high, then BMP
+      {"\"\\ud800\\ud800\"", 1, "bad \\u escape: unpaired"},  // high, then high
+      {"[\"ok\",\"a\\ud800\"]", 8, "bad \\u escape: unpaired"},
+      {"\"\\ud800\\u12\"", 9, "bad \\u escape"},  // truncated low
       // Bad numbers (strict RFC 8259 grammar).
       {"-", 1, "expected a value"},
       {"+1", 0, "expected a value"},
@@ -204,7 +224,7 @@ const MalformedCase* malformed_corpus(std::size_t& count) {
       {"1e999", 0, "outside double range"},
       {"-1e999", 0, "outside double range"},
       // Underflow: glibc reports subnormal results as out_of_range, so
-      // both paths must reject tokens that land below the normal range.
+      // tokens that land below the normal range are rejected.
       {"1e-310", 0, "outside double range"},
       {"4.9e-324", 0, "outside double range"},
   };
@@ -212,13 +232,13 @@ const MalformedCase* malformed_corpus(std::size_t& count) {
   return corpus;
 }
 
-TEST_P(JsonParsePaths, MalformedInputCorpus) {
+TEST(Json, MalformedInputCorpus) {
   std::size_t count = 0;
   const MalformedCase* corpus = malformed_corpus(count);
   for (std::size_t i = 0; i < count; ++i) {
     const MalformedCase& c = corpus[i];
     try {
-      dump_via(GetParam(), c.input);
+      parse_and_dump(c.input);
       FAIL() << "accepted malformed input: " << c.input;
     } catch (const JsonError& err) {
       EXPECT_EQ(err.offset(), c.offset) << "input: " << c.input
@@ -227,34 +247,6 @@ TEST_P(JsonParsePaths, MalformedInputCorpus) {
                 std::string::npos)
           << "input: " << c.input << " error: " << err.what();
     }
-  }
-}
-
-// Beyond matching the per-row expectations, the two paths must agree with
-// each other verbatim: same exception text, same offset, on every row. This
-// is the cross-path half of the parity gate — a new failure mode added to
-// one parser but not the other fails here even if both "reasonably" reject.
-TEST(JsonParity, MalformedCorpusIdenticalErrorsAcrossPaths) {
-  std::size_t count = 0;
-  const MalformedCase* corpus = malformed_corpus(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const char* input = corpus[i].input;
-    std::string dom_err, arena_err;
-    std::size_t dom_off = 0, arena_off = 1;
-    try {
-      parse_json(input);
-    } catch (const JsonError& e) {
-      dom_err = e.what();
-      dom_off = e.offset();
-    }
-    try {
-      parse_json_arena(input);
-    } catch (const JsonError& e) {
-      arena_err = e.what();
-      arena_off = e.offset();
-    }
-    EXPECT_EQ(dom_err, arena_err) << "input: " << input;
-    EXPECT_EQ(dom_off, arena_off) << "input: " << input;
   }
 }
 
@@ -268,7 +260,7 @@ struct NumberCase {
   double value;
 };
 
-TEST_P(JsonParsePaths, StrictNumberCorpus) {
+TEST(Json, StrictNumberCorpus) {
   const NumberCase corpus[] = {
       {"0", 0.0},
       {"-0", -0.0},
@@ -304,72 +296,64 @@ TEST_P(JsonParsePaths, StrictNumberCorpus) {
       {"123456789012345678901234567890", 123456789012345678901234567890.0},
   };
   for (const NumberCase& c : corpus) {
-    const double got = number_via(GetParam(), c.token);
+    const double got = parse_number(c.token);
     EXPECT_EQ(bits_of(got), bits_of(c.value))
-        << "token " << c.token << " parsed to " << got << " via "
-        << path_name(GetParam());
+        << "token " << c.token << " parsed to " << got;
   }
 }
 
-TEST_P(JsonParsePaths, DepthLimitRejectsDeepNesting) {
+TEST(Json, DepthLimitRejectsDeepNesting) {
   JsonParseLimits limits;
   limits.max_depth = 8;
   const std::string ok(8, '[');
-  EXPECT_NO_THROW(dump_via(GetParam(), ok + std::string(8, ']'), limits));
+  EXPECT_NO_THROW(parse_and_dump(ok + std::string(8, ']'), limits));
   const std::string deep(9, '[');
-  EXPECT_THROW(dump_via(GetParam(), deep + std::string(9, ']'), limits),
+  EXPECT_THROW(parse_and_dump(deep + std::string(9, ']'), limits),
                JsonError);
   // Mixed nesting counts every container level.
   EXPECT_THROW(
-      dump_via(GetParam(), "[{\"a\":[{\"b\":[{\"c\":[[[1]]]}]}]}]", limits),
+      parse_and_dump("[{\"a\":[{\"b\":[{\"c\":[[[1]]]}]}]}]", limits),
       JsonError);
-  // Default limit stops pathological input long before the call stack does
-  // on the recursive path (the arena path has no recursion to exhaust).
-  EXPECT_THROW(dump_via(GetParam(), std::string(100000, '[')), JsonError);
+  // The default limit stops pathological input long before the recursive
+  // dumper or to_json_value() could exhaust the call stack.
+  EXPECT_THROW(parse_and_dump(std::string(100000, '[')), JsonError);
 }
 
-// Satellite fix: the over-deep error must carry the *same byte offset* on
-// both paths — the offset of the bracket that first exceeds the limit —
-// even though one parser counts recursion depth and the other an explicit
-// stack. A silent off-by-one here would break error-message parity on the
-// wire.
-TEST(JsonParity, DepthErrorOffsetIdenticalAcrossPaths) {
+// The over-deep error names the opener that first exceeds the limit, with
+// the full message, whichever container kind or spacing gets it there.
+TEST(Json, DepthErrorOffsetsAreExact) {
   JsonParseLimits limits;
   limits.max_depth = 4;
-  // The fifth opener is at byte 6 ("[ [ {\"k\":[ [" layouts vary per doc).
-  const std::string docs[] = {
-      "[[[[[1]]]]]",
-      "[[[[{\"k\":1}]]]]x",  // depth 5 via an object opener
-      "{\"a\":[[[[1]]]]}",
+  const struct {
+    const char* doc;
+    std::size_t offset;
+  } cases[] = {
+      {"[[[[[1]]]]]", 4},
+      {"[[[[{\"k\":1}]]]]x", 4},  // depth 5 via an object opener
+      {"{\"a\":[[[[1]]]]}", 8},
+      {"[ [ [ [ [1]]]]]", 8},
   };
-  for (const std::string& doc : docs) {
-    std::string dom_err, arena_err;
-    std::size_t dom_off = 0, arena_off = 1;
+  for (const auto& c : cases) {
     try {
-      parse_json(doc, limits);
-    } catch (const JsonError& e) {
-      dom_err = e.what();
-      dom_off = e.offset();
+      parse_json(c.doc, limits);
+      FAIL() << "accepted over-deep doc: " << c.doc;
+    } catch (const JsonError& err) {
+      EXPECT_EQ(err.offset(), c.offset) << "doc: " << c.doc;
+      EXPECT_EQ(std::string(err.what()),
+                "json parse error at offset " + std::to_string(c.offset) +
+                    ": nesting deeper than 4 levels")
+          << "doc: " << c.doc;
     }
-    try {
-      parse_json_arena(doc, limits);
-    } catch (const JsonError& e) {
-      arena_err = e.what();
-      arena_off = e.offset();
-    }
-    EXPECT_EQ(dom_err, arena_err) << "doc: " << doc;
-    EXPECT_EQ(dom_off, arena_off) << "doc: " << doc;
-    EXPECT_FALSE(dom_err.empty()) << "doc: " << doc;
   }
 }
 
-TEST_P(JsonParsePaths, NumberLengthLimit) {
+TEST(Json, NumberLengthLimit) {
   JsonParseLimits limits;
   limits.max_number_length = 8;
-  EXPECT_NO_THROW(dump_via(GetParam(), "12345678", limits));
-  EXPECT_THROW(dump_via(GetParam(), "123456789", limits), JsonError);
+  EXPECT_NO_THROW(parse_and_dump("12345678", limits));
+  EXPECT_THROW(parse_and_dump("123456789", limits), JsonError);
   // The default cap still admits full double precision round trips.
-  EXPECT_NO_THROW(dump_via(GetParam(), "-1.7976931348623157e308"));
+  EXPECT_NO_THROW(parse_and_dump("-1.7976931348623157e308"));
 }
 
 TEST(Json, ErrorOffsetPointsIntoNestedDocument) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "opt/hungarian.h"
+#include "hungarian.h"
 #include "util/rng.h"
 
 namespace mecsc::opt {

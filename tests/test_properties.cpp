@@ -128,8 +128,7 @@ TEST(FormatStability, HandWrittenDocumentParses) {
       "congestion": "linear"
     }
   })";
-  const core::Instance inst =
-      core::instance_from_json(util::parse_json(doc));
+  const core::Instance inst = core::instance_from_json_text(doc);
   EXPECT_EQ(inst.provider_count(), 1u);
   EXPECT_EQ(inst.cloudlet_count(), 1u);
   EXPECT_DOUBLE_EQ(inst.network.cloudlet_to_dc_hops(0, 0), 3.0);

@@ -303,12 +303,28 @@ TEST(RouteDrain, DeadBackendIsRoutedAroundAfterOneFailure) {
     seed_by_backend.emplace(r.body.at("route_backend").as_string(), seed);
   }
   ASSERT_EQ(seed_by_backend.size(), 2u) << "need both backends owning keys";
+  const std::uint64_t orphan = seed_by_backend.at("b1");
+
+  // Restart b1 on its port first: the router's pooled connection to the
+  // old server is stale, so the next b1-owned request redials once (one
+  // reconnect) and the fresh server answers it.
+  const int b1_port = f.backends[0]->port();
+  f.backends[0]->request_shutdown();
+  f.backends[0]->wait();
+  svc::ServerOptions restarted;
+  restarted.tcp_port = b1_port;
+  restarted.threads = 2;
+  f.backends[0] = std::make_unique<svc::SolverServer>(std::move(restarted));
+  f.backends[0]->start();
+  const svc::SvcResponse redialed =
+      client.solve(route_instance(orphan), "lcf", 98);
+  ASSERT_TRUE(redialed.ok) << redialed.error_code;
+  EXPECT_EQ(redialed.body.at("route_backend").as_string(), "b1");
 
   // Kill b1's process-equivalent (the in-process server) hard.
   f.backends[0]->request_shutdown();
   f.backends[0]->wait();
 
-  const std::uint64_t orphan = seed_by_backend.at("b1");
   const svc::SvcResponse r =
       client.solve(route_instance(orphan), "lcf", 99);
   ASSERT_TRUE(r.ok) << r.error_code << ": " << r.error_message;
@@ -317,6 +333,12 @@ TEST(RouteDrain, DeadBackendIsRoutedAroundAfterOneFailure) {
   const route::RouterStats stats = f.router->stats();
   EXPECT_GE(stats.backend_failures, 1u);
   EXPECT_EQ(stats.responses_error, 0u);
+  // The router total is the live sum of the per-backend counts.
+  std::uint64_t per_backend_reconnects = 0;
+  for (const route::BackendView& view : f.router->backend_views())
+    per_backend_reconnects += view.reconnects;
+  EXPECT_EQ(stats.backend_reconnects, per_backend_reconnects);
+  EXPECT_GE(stats.backend_reconnects, 1u);
 }
 
 // --- Cross-process trace parenting -----------------------------------------

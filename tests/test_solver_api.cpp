@@ -1,14 +1,15 @@
-// SolveSpec decoding: the three front doors (DOM, arena view, raw bytes)
-// must accept and reject identically — they are one template underneath,
-// and the service's bad_request error text is part of the wire contract.
+// SolveSpec decoding: the two front doors (arena view, raw bytes) must
+// accept and reject identically — the service's bad_request error text is
+// part of the wire contract.
 #include "core/solver_api.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 
-#include "util/json.h"
+#include "util/json_arena.h"
 
 namespace mecsc::core {
 namespace {
@@ -56,9 +57,9 @@ TEST(SolverApi, DecodeSolveSpecRejectsMalformedJson) {
   EXPECT_THROW(decode(""), util::JsonError);
 }
 
-// All three overloads are instantiations of one template, but the wrapper
-// plumbing (arena root, DOM at()) could still drift — pin the parity.
-TEST(SolverApi, ThreeFrontDoorsAgree) {
+// decode_solve_spec wraps solve_spec_from_arena; pin that the wrapper
+// plumbing (arena lifetime, root()) cannot drift from the view decoder.
+TEST(SolverApi, ArenaAndBytesFrontDoorsAgree) {
   const std::string docs[] = {
       "{}",
       R"({"algorithm": "appro"})",
@@ -66,35 +67,35 @@ TEST(SolverApi, ThreeFrontDoorsAgree) {
       R"({"one_minus_xi": 1})",
   };
   for (const std::string& doc : docs) {
-    const SolveSpec from_dom = solve_spec_from_json(util::parse_json(doc));
     const util::JsonArena arena = util::parse_json_arena(doc);
     const SolveSpec from_arena = solve_spec_from_arena(arena.root());
     const SolveSpec from_bytes = decode(doc);
-    EXPECT_EQ(from_dom.algorithm, from_arena.algorithm) << doc;
-    EXPECT_EQ(from_dom.algorithm, from_bytes.algorithm) << doc;
-    EXPECT_DOUBLE_EQ(from_dom.one_minus_xi, from_arena.one_minus_xi) << doc;
-    EXPECT_DOUBLE_EQ(from_dom.one_minus_xi, from_bytes.one_minus_xi) << doc;
-    EXPECT_EQ(from_dom.cache_key(), from_bytes.cache_key()) << doc;
+    EXPECT_EQ(from_arena.algorithm, from_bytes.algorithm) << doc;
+    EXPECT_DOUBLE_EQ(from_arena.one_minus_xi, from_bytes.one_minus_xi) << doc;
+    EXPECT_EQ(from_arena.cache_key(), from_bytes.cache_key()) << doc;
   }
-  // Error parity on the reject side.
-  const std::string bad[] = {
-      R"({"algorithm": "nope"})",
-      R"({"one_minus_xi": null})",
+  // The reject side carries explicit messages.
+  const struct {
+    const char* doc;
+    const char* message;
+  } bad[] = {
+      {R"({"algorithm": "nope"})", "unknown algorithm \"nope\""},
+      {R"({"one_minus_xi": null})", "field \"one_minus_xi\" must be a number"},
   };
-  for (const std::string& doc : bad) {
-    std::string dom_err, bytes_err;
-    try {
-      solve_spec_from_json(util::parse_json(doc));
-    } catch (const std::invalid_argument& e) {
-      dom_err = e.what();
+  for (const auto& c : bad) {
+    const util::JsonArena arena = util::parse_json_arena(c.doc);
+    const std::function<void()> front_doors[] = {
+        [&] { solve_spec_from_arena(arena.root()); },
+        [&] { decode(c.doc); },
+    };
+    for (const auto& front_door : front_doors) {
+      try {
+        front_door();
+        ADD_FAILURE() << "accepted " << c.doc;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), c.message) << c.doc;
+      }
     }
-    try {
-      decode(doc);
-    } catch (const std::invalid_argument& e) {
-      bytes_err = e.what();
-    }
-    EXPECT_FALSE(dom_err.empty()) << doc;
-    EXPECT_EQ(dom_err, bytes_err) << doc;
   }
 }
 

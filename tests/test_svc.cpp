@@ -208,7 +208,7 @@ TEST(SvcServer, SolveMatchesDirectSolverAndEchoesId) {
   EXPECT_FALSE(r.body.at("cached").as_bool());
   EXPECT_EQ(r.body.at("result").string_at("algorithm"), "lcf");
   // The served result equals running the solver in-process.
-  const core::Instance inst = core::instance_from_json(instance);
+  const core::Instance inst = core::instance_from_json_text(instance.dump());
   core::SolveSpec spec;
   const core::SolveOutcome direct = core::run_solver(inst, spec);
   EXPECT_DOUBLE_EQ(

@@ -277,9 +277,10 @@ EOF
     fi
   fi
 
-  # Parse-path determinism: bench_json's record carries the canonical-dump
-  # digest and node counts for the DOM/arena parity corpus; everything
-  # outside wall_ keys must be bit-identical across runs.
+  # Parser determinism: bench_json's record carries the canonical-dump
+  # digest and arena node counts of its instance documents, after checking
+  # that the arena and JsonValue serializers agree; everything outside
+  # wall_ keys must be bit-identical across runs.
   BENCH_JSON="$(dirname "$MECSC")/../bench/bench_json"
   if [ -x "$BENCH_JSON" ]; then
     MECSC_BENCH_SMOKE=1 MECSC_BENCH_JSON_DIR="$out" "$BENCH_JSON" >/dev/null

@@ -223,7 +223,7 @@ core::Instance load_instance(const Args& args) {
   const std::string path = args.require("-i");
   const std::string text = core::read_text_file(path);
   g_instance_digest = obs::fnv1a64_hex(text);
-  return core::instance_from_json(util::parse_json(text));
+  return core::instance_from_json_text(text);
 }
 
 int cmd_generate(const Args& args) {
@@ -291,9 +291,8 @@ int cmd_solve(const Args& args) {
 
 int cmd_evaluate(const Args& args) {
   const core::Instance inst = load_instance(args);
-  const core::Assignment a = core::assignment_from_json(
-      inst,
-      util::parse_json(core::read_text_file(args.require("-p"))));
+  const core::Assignment a = core::assignment_from_json_text(
+      inst, core::read_text_file(args.require("-p")));
 
   util::Table summary({"metric", "value"});
   summary.add_row({std::string("social cost"), a.social_cost()});
@@ -330,8 +329,8 @@ int cmd_evaluate(const Args& args) {
 
 int cmd_emulate(const Args& args) {
   const core::Instance inst = load_instance(args);
-  const core::Assignment a = core::assignment_from_json(
-      inst, util::parse_json(core::read_text_file(args.require("-p"))));
+  const core::Assignment a = core::assignment_from_json_text(
+      inst, core::read_text_file(args.require("-p")));
   util::Rng rng(static_cast<std::uint64_t>(args.number_or("--seed", 1)));
   sim::WorkloadParams wp;
   wp.horizon_s = args.number_or("--horizon", 30.0);
@@ -357,8 +356,8 @@ int cmd_emulate(const Args& args) {
 
 int cmd_delay(const Args& args) {
   const core::Instance inst = load_instance(args);
-  const core::Assignment a = core::assignment_from_json(
-      inst, util::parse_json(core::read_text_file(args.require("-p"))));
+  const core::Assignment a = core::assignment_from_json_text(
+      inst, core::read_text_file(args.require("-p")));
   const core::DelayReport r = core::evaluate_delay(a);
   util::Table t({"metric", "value"});
   t.add_row({std::string("mean request delay (ms)"), r.mean_delay_s * 1e3});
