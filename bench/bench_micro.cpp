@@ -16,7 +16,6 @@
 #include "opt/gap.h"
 #include "opt/mcmf.h"
 #include "opt/simplex.h"
-#include "opt/transportation.h"
 #include "sim/emulation.h"
 #include "sim/workload.h"
 #include "util/rng.h"

@@ -15,6 +15,24 @@ namespace mecsc::core {
 
 namespace {
 
+/// Eq. (8): how many services fit one virtual cloudlet, via demands
+/// normalized to the largest demand (a unit-capacity virtual cloudlet holds
+/// up to 1/min-weight services).
+std::size_t slot_multiplicity(const Instance& inst,
+                              const VirtualCloudletSplit& split) {
+  if (split.a_max <= 0.0 || split.b_max <= 0.0) return 1;
+  double min_w = 1.0;
+  for (const auto& p : inst.providers) {
+    const double w = std::max(p.compute_demand() / split.a_max,
+                              p.bandwidth_demand() / split.b_max);
+    if (w > 0.0) min_w = std::min(min_w, w);
+  }
+  const auto n_max = static_cast<std::size_t>(1.0 / std::max(min_w, 1e-6));
+  return std::clamp<std::size_t>(n_max, 1, 64);
+}
+
+}  // namespace
+
 /// Builds the slotted transportation reduction: one group per cloudlet with
 /// n_i slots plus a "remote" group that can hold everyone.
 opt::TransportationInstance build_transportation(
@@ -38,22 +56,6 @@ opt::TransportationInstance build_transportation(
   return t;
 }
 
-/// Eq. (8): how many services fit one virtual cloudlet, via demands
-/// normalized to the largest demand (a unit-capacity virtual cloudlet holds
-/// up to 1/min-weight services).
-std::size_t slot_multiplicity(const Instance& inst,
-                              const VirtualCloudletSplit& split) {
-  if (split.a_max <= 0.0 || split.b_max <= 0.0) return 1;
-  double min_w = 1.0;
-  for (const auto& p : inst.providers) {
-    const double w = std::max(p.compute_demand() / split.a_max,
-                              p.bandwidth_demand() / split.b_max);
-    if (w > 0.0) min_w = std::min(min_w, w);
-  }
-  const auto n_max = static_cast<std::size_t>(1.0 / std::max(min_w, 1e-6));
-  return std::clamp<std::size_t>(n_max, 1, 64);
-}
-
 /// Builds the congestion-aware slotted reduction: group i offers
 /// n_i * n'_max slots, the k-th priced at the marginal congestion cost
 /// (α_i+β_i)·u·(2k-1); item costs are the congestion-free fixed parts.
@@ -74,7 +76,7 @@ opt::ConvexTransportationInstance build_convex_transportation(
     for (std::size_t k = 1; k <= slots; ++k) {
       // Marginal social congestion of the k-th tenant: k·f(k) − (k−1)·f(k−1)
       // (2k−1 for the paper's linear shape). Non-decreasing in k for every
-      // shape, so the flow formulation stays exact.
+      // shape, so the convex transportation solve stays exact.
       t.slot_costs[i].push_back(
           unit * congestion_shape_marginal(inst.cost.congestion, k));
     }
@@ -90,6 +92,8 @@ opt::ConvexTransportationInstance build_convex_transportation(
   }
   return t;
 }
+
+namespace {
 
 /// Builds the aggregated Shmoys-Tardos GAP reduction: knapsack i gathers
 /// CL_i's n_i unit virtual cloudlets (capacity n_i, item weights normalized

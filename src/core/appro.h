@@ -24,12 +24,13 @@
 #include "core/assignment.h"
 #include "core/instance.h"
 #include "core/virtual_cloudlet.h"
+#include "opt/transportation.h"
 
 namespace mecsc::core {
 
 struct ApproOptions {
   enum class InnerSolver {
-    Transportation,  ///< exact min-cost-flow on the slotted reduction
+    Transportation,  ///< exact transportation solve of the slotted reduction
     ShmoysTardos,    ///< LP relaxation + rounding, as in [34]
   };
   InnerSolver solver = InnerSolver::Transportation;
@@ -70,5 +71,15 @@ struct ApproResult {
 
 /// Runs Algorithm 1. The result's assignment is always feasible.
 ApproResult run_appro(const Instance& inst, const ApproOptions& options = {});
+
+/// The slotted reductions the Transportation inner solver runs on. Groups
+/// 0..m-1 are the cloudlets and group m is the remote tier, which holds
+/// every provider. The literal reduction gives CL_i its n_i virtual
+/// cloudlets as slots at the Eq. (9) flat cost; the congestion-aware one
+/// prices the k-th of n_i * n'_max slots at the marginal congestion cost.
+opt::TransportationInstance build_transportation(
+    const Instance& inst, const VirtualCloudletSplit& split);
+opt::ConvexTransportationInstance build_convex_transportation(
+    const Instance& inst, const VirtualCloudletSplit& split);
 
 }  // namespace mecsc::core

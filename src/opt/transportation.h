@@ -5,8 +5,23 @@
 // knapsack and knapsack-independent item weights, the GAP instance collapses
 // to a transportation problem: assign each item (service) to a group
 // (cloudlet) with at most `slots[g]` items per group, minimizing the sum of
-// item-group costs. Its LP is integral, so min-cost flow solves it exactly —
-// the "2-approximation" requirement of [34] is met with ratio 1.
+// item-group costs. Its LP is integral, so it is solved exactly — the
+// "2-approximation" requirement of [34] is met with ratio 1.
+//
+// Both variants run successive shortest paths on the group graph: Dijkstra
+// over the m groups plus a sink, with the n items folded into per-group
+// entry lists and per-group-pair move heaps, so an augmentation costs
+// O(m^2 + n) plus the near-tied moves it evaluates (see transportation.cpp)
+// rather than the item-level flow's O(n m log n). Appro has m+1 groups
+// (cloudlets plus remote) against n >> m providers. The solver follows the
+// tie-break and rounding rules of the item-level min-cost flow, which is
+// kept as the oracle in tests/transportation_oracle.*. That it returns the
+// flow's assignment is a tested result, not a proven one: it does on the
+// 768 solve-large instances and on 24 000 tie-heavy integer instances.
+//
+// Preconditions (std::invalid_argument otherwise): costs are non-negative
+// (not NaN), and each group's slot costs are non-negative and
+// non-decreasing.
 #pragma once
 
 #include <cstddef>
@@ -39,18 +54,18 @@ struct TransportationSolution {
   double cost = 0.0;
 };
 
-/// Solves the instance optimally via min-cost max-flow. Infeasible when the
-/// items outnumber the admissible slots.
+/// Solves the instance optimally. Infeasible when the items cannot all get
+/// an admissible slot.
 TransportationSolution solve_transportation(
     const TransportationInstance& instance);
 
 /// Transportation with *convex group costs*: the k-th item placed in group g
 /// (1-based) additionally pays slot_costs[g][k-1] on top of its item-group
 /// cost. slot_costs[g] must be non-decreasing (convexity), and its length is
-/// the group's slot capacity. Solved exactly by min-cost flow: convex slot
-/// arcs saturate cheapest-first, so an integral optimum over
-///   Σ_j cost(g_j, j) + Σ_g Σ_{k<=load_g} slot_costs[g][k-1]
-/// is returned. Used by Appro's congestion-aware mode, where
+/// the group's slot capacity. Convexity makes slots fill cheapest-first, so
+/// the solve returns an integral optimum of
+///   Σ_j cost(g_j, j) + Σ_g Σ_{k<=load_g} slot_costs[g][k-1].
+/// Used by Appro's congestion-aware mode, where
 /// slot_costs[i][k-1] = (α_i+β_i)·u·(2k-1) telescopes to the exact quadratic
 /// congestion term of the social cost.
 struct ConvexTransportationInstance {
